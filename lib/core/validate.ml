@@ -50,21 +50,24 @@ let compiled_backend_installed () = Option.is_some !compiled_backend_factory
 
 type compiled = Counting of Sorbe.t | Table of compiled_matcher | Generic
 
-(* First-class dependency record of the fixpoint (PR 3 only emitted
-   these edges as telemetry events; incremental revalidation needs
-   them as data).  For every settled pair the tables hold the pairs
-   its *last* evaluation consulted — the edge set the final verdict
-   actually depends on — plus the reverse edges and a node index, so
-   a graph delta can walk from edited nodes back to every memoised
-   verdict that could observe it. *)
-type dep_record = {
-  deps : (Pair.t, Pair_set.t) Hashtbl.t;
-      (* pair → pairs its last evaluation consulted *)
-  rdeps : (Pair.t, Pair_set.t) Hashtbl.t;
-      (* exact reverse edges of [deps] *)
-  by_node : (Rdf.Term.t, Label.Set.t) Hashtbl.t;
-      (* node → labels with a memoised verdict on that node *)
-}
+(* What the memo keeps per (node, shape) pair: the verdict, the pairs
+   its last evaluation consulted ([uses]) and the reverse edges
+   ([users]: the pairs whose last evaluation consulted this one).  The
+   fixpoint solver writes it; the typing of a check, the solver's
+   re-queueing of refuted hypotheses and incremental invalidation all
+   read it, so the set of facts a verdict depends on is computed once.
+   Records are immutable, and every pair without edges shares one of
+   two constants, so verdict-only runs over non-recursive shapes
+   allocate no record. *)
+type record = { ok : bool; uses : Pair_set.t; users : Pair_set.t }
+
+let fact_true = { ok = true; uses = Pair_set.empty; users = Pair_set.empty }
+let fact_false = { fact_true with ok = false }
+
+let record ok uses users =
+  if Pair_set.is_empty uses && Pair_set.is_empty users then
+    if ok then fact_true else fact_false
+  else { ok; uses; users }
 
 (* Per-shape attribution state (the [?profile] flag).  One labelled
    cell bundle per shape label, cached by {!Label.t} so the hot path
@@ -196,8 +199,7 @@ type session = {
       (* whether {!set_graph} should rebuild the accelerator *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
-  proven : (Pair.t, bool) Hashtbl.t;  (* settled verdicts, memoised *)
-  dep_record : dep_record option;     (* Some iff [record_deps] *)
+  memo : (Pair.t, record) Hashtbl.t;  (* settled pairs *)
   compiled : (Label.t, compiled) Hashtbl.t;
       (* per-label compilation: SORBE counting matcher or lazy DFA *)
   backend : compiled_backend option;
@@ -215,8 +217,8 @@ type session = {
       (* the counters a slowlog entry reports deltas of *)
 }
 
-let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
-    ~graph ~columnar ~interned schema =
+let make_session ~engine ~telemetry ~domains ~profile ~slow_ms ~graph
+    ~columnar ~interned schema =
   let backend =
     match (engine, !compiled_backend_factory) with
     | (Compiled | Auto), Some make -> Some (make telemetry)
@@ -228,14 +230,7 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
   in
   { engine; schema; graph; columnar; interned;
     domains = max 1 domains;
-    proven = Hashtbl.create 256;
-    dep_record =
-      (if record_deps then
-         Some
-           { deps = Hashtbl.create 256;
-             rdeps = Hashtbl.create 256;
-             by_node = Hashtbl.create 64 }
-       else None);
+    memo = Hashtbl.create 256;
     compiled = Hashtbl.create 16;
     backend;
     tele = telemetry;
@@ -258,17 +253,17 @@ let make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
           "fixpoint_flips"; "fixpoint_demands" ] }
 
 let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
-    ?(domains = 1) ?(record_deps = false) ?(profile = false) ?slow_ms
-    ?(interned = false) schema graph =
-  make_session ~engine ~telemetry ~domains ~record_deps ~profile ~slow_ms
+    ?(domains = 1) ?(profile = false) ?slow_ms ?(interned = false) schema
+    graph =
+  make_session ~engine ~telemetry ~domains ~profile ~slow_ms
     ~graph:(Some graph)
     ~columnar:(if interned then Some (Rdf.Columnar.of_graph graph) else None)
     ~interned schema
 
 let session_columnar ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
     ?(domains = 1) ?(profile = false) ?slow_ms schema columnar =
-  make_session ~engine ~telemetry ~domains ~record_deps:false ~profile
-    ~slow_ms ~graph:None ~columnar:(Some columnar) ~interned:true schema
+  make_session ~engine ~telemetry ~domains ~profile ~slow_ms ~graph:None
+    ~columnar:(Some columnar) ~interned:true schema
 
 let telemetry st = st.tele
 let schema st = st.schema
@@ -289,8 +284,7 @@ let interned st = Option.is_some st.columnar
 let columnar_store st = st.columnar
 let engine st = st.engine
 let domains st = st.domains
-let record_deps st = Option.is_some st.dep_record
-let memo_size st = Hashtbl.length st.proven
+let memo_size st = Hashtbl.length st.memo
 let profiling st = Option.is_some st.profile
 let slowlog st = st.slowlog
 
@@ -314,48 +308,6 @@ let neighbourhood st ~include_inverse n =
   match st.columnar with
   | Some c -> Neigh.of_columnar ~include_inverse n c
   | None -> Neigh.of_node ~include_inverse n (graph st)
-
-let dependencies_of st p =
-  match st.dep_record with
-  | None -> []
-  | Some r ->
-      Option.fold ~none:[] ~some:Pair_set.elements
-        (Hashtbl.find_opt r.deps p)
-
-(* Reverse-edge maintenance: [unlink_rdep r ~dependent q] removes the
-   edge "dependent consulted q" from the reverse table. *)
-let unlink_rdep r ~dependent q =
-  match Hashtbl.find_opt r.rdeps q with
-  | None -> ()
-  | Some s ->
-      let s = Pair_set.remove dependent s in
-      if Pair_set.is_empty s then Hashtbl.remove r.rdeps q
-      else Hashtbl.replace r.rdeps q s
-
-(* Replace the recorded edge set of [p] with the consultations of its
-   latest evaluation, keeping [rdeps] exact (stale reverse edges would
-   make later invalidations walk — and kill — verdicts that no longer
-   depend on the flipped pair). *)
-let record_edges r p used =
-  let now = Pair_set.of_list used in
-  let before =
-    Option.value (Hashtbl.find_opt r.deps p) ~default:Pair_set.empty
-  in
-  let link q =
-    let s =
-      Option.value (Hashtbl.find_opt r.rdeps q) ~default:Pair_set.empty
-    in
-    Hashtbl.replace r.rdeps q (Pair_set.add p s)
-  in
-  Pair_set.iter (unlink_rdep r ~dependent:p) (Pair_set.diff before now);
-  Pair_set.iter link (Pair_set.diff now before);
-  Hashtbl.replace r.deps p now
-
-let index_node r ((n, l) : Pair.t) =
-  let ls =
-    Option.value (Hashtbl.find_opt r.by_node n) ~default:Label.Set.empty
-  in
-  Hashtbl.replace r.by_node n (Label.Set.add l ls)
 
 let compile st l e =
   match Hashtbl.find_opt st.compiled l with
@@ -397,7 +349,7 @@ let sample_resources st =
       Telemetry.Counter.set p.g_compactions q.Gc.compactions;
       Telemetry.Counter.set p.g_minor_collections q.Gc.minor_collections;
       Telemetry.Counter.set p.g_major_collections q.Gc.major_collections;
-      Telemetry.Counter.set p.g_memo_entries (Hashtbl.length st.proven)
+      Telemetry.Counter.set p.g_memo_entries (Hashtbl.length st.memo)
 
 (* The unified snapshot: engine counters live in the registry already;
    the automaton backend's pull-style cache counters are folded in at
@@ -487,11 +439,11 @@ let profiled_run st p n l run () =
       p.charged_seconds <- p.charged_seconds +. (if dts < 0. then 0. else dts))
 
 (* One evaluation of a (node, label) pair under the current candidate
-   valuation.  References to settled pairs read the memo table;
-   same-stratum references read [value] and are recorded in the use
-   list; references to lower strata are settled on the spot through
-   [settle] (they are final by stratification, so negation over them
-   is sound). *)
+   valuation.  Every reference is recorded in the use list.  References
+   to settled pairs read the memo; same-stratum references read
+   [value]; references to lower strata are settled on the spot through
+   [solve] (they are final by stratification, so negation over them is
+   sound). *)
 let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
   match Schema.find_shape st.schema l with
   | None -> (false, [])
@@ -506,14 +458,14 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
       let check_ref l' o =
         let q = (o, l') in
         used := q :: !used;
-        let settled = Hashtbl.find_opt st.proven q in
+        let settled = Hashtbl.find_opt st.memo q in
         let answer =
           match settled with
-          | Some b -> b
+          | Some r -> r.ok
           | None ->
               if Schema.stratum st.schema l' < stratum then begin
                 solve st q;
-                Hashtbl.find st.proven q
+                (Hashtbl.find st.memo q).ok
               end
               else begin
                 demand q;
@@ -616,47 +568,54 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
 (* Greatest-fixpoint solver (chaotic iteration).  All demanded pairs
    start optimistically [true] — the coinductive hypothesis of §8's
    MatchShape rule — and can only flip to [false] when their rule
-   fails, re-triggering the pairs that relied on them.  Verdicts are
-   monotone in the same-stratum reference answers because
-   {!Schema.make} rejects negation inside a stratum, so the iteration
-   terminates at the greatest fixpoint in polynomially many
-   evaluations; negated references live in lower strata and are
-   settled before use. *)
+   fails, re-triggering the pairs whose last evaluation relied on them
+   (the [users] edges of their records).  Verdicts are monotone in the
+   same-stratum reference answers because {!Schema.make} rejects
+   negation inside a stratum, so the iteration terminates at the
+   greatest fixpoint in polynomially many evaluations; negated
+   references live in lower strata and are settled before use.
+
+   The pairs of one solve live in [pending] until the queue drains and
+   then move to the memo wholesale; a pair a pending one consults is
+   either pending too or already settled.  The last evaluation of each
+   pair wins: a later flip of anything it consulted would have
+   re-queued it, so its [uses] are exactly what the final verdict
+   depends on.  A matcher that raises abandons [pending]; the reverse
+   edges it already added to settled records then name pairs outside
+   the memo, which invalidation skips and re-queueing never sees. *)
 and solve st root =
-  if not (Hashtbl.mem st.proven root) then begin
-    let value : (Pair.t, bool) Hashtbl.t = Hashtbl.create 64 in
-    let dependents : (Pair.t, Pair_set.t) Hashtbl.t = Hashtbl.create 64 in
+  if not (Hashtbl.mem st.memo root) then begin
+    let pending : (Pair.t, record) Hashtbl.t = Hashtbl.create 64 in
     let queue = Queue.create () in
     let demand p =
-      if not (Hashtbl.mem value p) then begin
+      if not (Hashtbl.mem pending p) then begin
         Telemetry.Counter.incr st.fix_demands;
-        Hashtbl.replace value p true;
+        Hashtbl.replace pending p fact_true;
         Queue.add p queue
       end
+    in
+    (* Move [p] in or out of [q]'s reverse edges, wherever [q] lives. *)
+    let relink f p q =
+      let tbl = if Hashtbl.mem pending q then pending else st.memo in
+      let r = Hashtbl.find tbl q in
+      Hashtbl.replace tbl q (record r.ok r.uses (f p r.users))
     in
     demand root;
     while not (Queue.is_empty queue) do
       let p = Queue.pop queue in
+      let r = Hashtbl.find pending p in
       (* A pair already settled false needs no re-evaluation. *)
-      if Hashtbl.find value p then begin
+      if r.ok then begin
         Telemetry.Counter.incr st.fix_evals;
         let ok, used =
-          evaluate st ~value:(fun q -> Hashtbl.find value q) ~demand p
+          evaluate st ~value:(fun q -> (Hashtbl.find pending q).ok) ~demand p
         in
-        (* The last evaluation of each pair wins: its consultations are
-           the edges the settled verdict depends on. *)
-        (match st.dep_record with
-        | Some r -> record_edges r p used
-        | None -> ());
-        List.iter
-          (fun q ->
-            let prev =
-              Option.value
-                (Hashtbl.find_opt dependents q)
-                ~default:Pair_set.empty
-            in
-            Hashtbl.replace dependents q (Pair_set.add p prev))
-          used;
+        let uses = Pair_set.of_list used in
+        Pair_set.iter (relink Pair_set.remove p) (Pair_set.diff r.uses uses);
+        Pair_set.iter (relink Pair_set.add p) (Pair_set.diff uses r.uses);
+        (* Re-read: relinking changed [p]'s users if it consults itself. *)
+        let users = (Hashtbl.find pending p).users in
+        Hashtbl.replace pending p (record ok uses users);
         if not ok then begin
           Telemetry.Counter.incr st.fix_flips;
           (match st.profile with
@@ -664,20 +623,15 @@ and solve st root =
               Telemetry.Counter.incr
                 (Telemetry.labelled prof.p_flips (Label.to_string (snd p)))
           | None -> ());
-          Hashtbl.replace value p false;
-          let ds =
-            Option.value
-              (Hashtbl.find_opt dependents p)
-              ~default:Pair_set.empty
-          in
           let requeued = ref 0 in
           Pair_set.iter
             (fun d ->
-              if Hashtbl.find value d then begin
-                incr requeued;
-                Queue.add d queue
-              end)
-            ds;
+              match Hashtbl.find_opt pending d with
+              | Some { ok = true; _ } ->
+                  incr requeued;
+                  Queue.add d queue
+              | Some _ | None -> ())
+            users;
           (* The refutation edge: this hypothesis flipped to false and
              re-triggered the verdicts that relied on it. *)
           if Telemetry.tracing st.tele then
@@ -690,99 +644,74 @@ and solve st root =
         end
       end
     done;
-    Hashtbl.iter
-      (fun p v ->
-        Hashtbl.replace st.proven p v;
-        match st.dep_record with
-        | Some r -> index_node r p
-        | None -> ())
-      value
+    Hashtbl.iter (Hashtbl.replace st.memo) pending
   end
 
 let verdict st p =
   solve st p;
-  Hashtbl.find st.proven p
+  (Hashtbl.find st.memo p).ok
 
 (* Dependency-frontier invalidation: every memoised verdict anchored
    on an edited node, plus — transitively, backwards along the
-   recorded edges — every verdict that consulted one of those.  What
+   [users] edges — every verdict that consulted one of those.  What
    remains in the memo was computed by evaluations that read only
    unchanged neighbourhoods and reference answers that are themselves
    retained, so re-running them against the new graph would reproduce
    the memoised verdict verbatim; dropping exactly the frontier and
    re-solving it therefore converges to the same greatest fixpoint as
    a full from-scratch run (the oracle's edit-script arm checks this
-   equivalence mechanically). *)
+   equivalence mechanically).  A node's memoised pairs are found by
+   probing the memo with every schema label; pairs on labels the
+   schema does not define are false whatever the graph says, so they
+   may stay. *)
 let invalidate_nodes st nodes =
-  match st.dep_record with
-  | None ->
-      (* No recorded edges: the only sound reaction to a graph change
-         is dropping the whole memo (a full revalidation). *)
-      let all = Hashtbl.fold (fun p v acc -> (p, v) :: acc) st.proven [] in
-      Hashtbl.reset st.proven;
-      all
-  | Some r ->
-      let visited = ref Pair_set.empty in
-      let queue = Queue.create () in
-      let push p =
-        if Hashtbl.mem st.proven p && not (Pair_set.mem p !visited) then begin
-          visited := Pair_set.add p !visited;
-          Queue.add p queue
-        end
-      in
-      List.iter
-        (fun n ->
-          match Hashtbl.find_opt r.by_node n with
-          | None -> ()
-          | Some ls -> Label.Set.iter (fun l -> push (n, l)) ls)
-        nodes;
-      let frontier = ref [] in
-      while not (Queue.is_empty queue) do
-        let p = Queue.pop queue in
-        frontier := (p, Hashtbl.find st.proven p) :: !frontier;
-        match Hashtbl.find_opt r.rdeps p with
-        | Some dependents -> Pair_set.iter push dependents
-        | None -> ()
-      done;
-      (* Drop the frontier from the memo and the dependency tables.
-         Every dependent of a frontier pair is itself in the frontier
-         (that is what the backwards walk computes), so unlinking each
-         dropped pair from the deps of what it consulted leaves the
-         tables exactly describing the retained memo. *)
-      List.iter
-        (fun (((n, l) as p), _) ->
-          Hashtbl.remove st.proven p;
-          (match Hashtbl.find_opt r.deps p with
-          | Some consulted ->
-              Pair_set.iter (unlink_rdep r ~dependent:p) consulted;
-              Hashtbl.remove r.deps p
-          | None -> ());
-          match Hashtbl.find_opt r.by_node n with
-          | None -> ()
-          | Some ls ->
-              let ls = Label.Set.remove l ls in
-              if Label.Set.is_empty ls then Hashtbl.remove r.by_node n
-              else Hashtbl.replace r.by_node n ls)
-        !frontier;
-      !frontier
-
-(* The typing τ produced by a successful check: the root fact plus the
-   facts its (final) match relies on, transitively — mirroring how the
-   typed derivative of §8 combines sub-typings with ⊎. *)
-let typing_of st root =
-  let rec closure visited p =
-    if Pair_set.mem p visited || not (verdict st p) then visited
-    else
-      let visited = Pair_set.add p visited in
-      let _, used =
-        evaluate st ~value:(fun q -> verdict st q) ~demand:(fun _ -> ()) p
-      in
-      List.fold_left closure visited used
+  (* Label order, not declaration order: it fixes the order of the
+     returned frontier, and with it the daemon's [changed] lists. *)
+  let labels = Label.Set.of_list (Schema.labels st.schema) in
+  let visited = ref Pair_set.empty in
+  let queue = Queue.create () in
+  let push p =
+    if Hashtbl.mem st.memo p && not (Pair_set.mem p !visited) then begin
+      visited := Pair_set.add p !visited;
+      Queue.add p queue
+    end
   in
-  Pair_set.fold
-    (fun (n, l) acc -> Typing.add n l acc)
-    (closure Pair_set.empty root)
-    Typing.empty
+  List.iter (fun n -> Label.Set.iter (fun l -> push (n, l)) labels) nodes;
+  let frontier = ref [] in
+  while not (Queue.is_empty queue) do
+    let p = Queue.pop queue in
+    let r = Hashtbl.find st.memo p in
+    frontier := (p, r) :: !frontier;
+    Pair_set.iter push r.users
+  done;
+  (* Drop the frontier, then unlink it from the retained pairs it
+     consulted.  Every user of a frontier pair is itself in the
+     frontier (that is what the backwards walk computes), so the
+     remaining records exactly describe the retained memo. *)
+  let unlink p q =
+    match Hashtbl.find_opt st.memo q with
+    | Some r ->
+        Hashtbl.replace st.memo q
+          (record r.ok r.uses (Pair_set.remove p r.users))
+    | None -> ()
+  in
+  List.iter (fun (p, _) -> Hashtbl.remove st.memo p) !frontier;
+  List.iter
+    (fun (p, (r : record)) -> Pair_set.iter (unlink p) r.uses)
+    !frontier;
+  List.map (fun (p, (r : record)) -> (p, r.ok)) !frontier
+
+(* The typing τ produced by a successful check: the root fact plus
+   every conformant pair reachable along the memo's [uses] edges — the
+   facts the final matches relied on, combined as §8's typed derivative
+   combines sub-typings with ⊎.  No matcher runs. *)
+let typing_of st root =
+  let rec walk ((n, l) as p) acc =
+    let r = Hashtbl.find st.memo p in
+    if (not r.ok) || Typing.mem n l acc then acc
+    else Pair_set.fold walk r.uses (Typing.add n l acc)
+  in
+  walk root Typing.empty
 
 let failure_explain st n l =
   match Schema.find_shape st.schema l with

@@ -24,7 +24,12 @@
     exactly the semantics of the MatchShape rule on cyclic data.
 
     A {!session} memoises settled verdicts, so repeated checks over
-    the same graph (e.g. {!validate_graph}) share work. *)
+    the same graph (e.g. {!validate_graph}) share work.  With each
+    verdict the memo keeps the (node, shape) pairs its final
+    evaluation consulted and the reverse edges: the typing of a
+    successful {!check} is read off those edges, the solver re-queues
+    refuted hypotheses along them, and {!invalidate_nodes} walks them
+    backwards. *)
 
 (** Which regular-expression engine decides neighbourhood matching. *)
 type engine =
@@ -49,7 +54,6 @@ val session :
   ?engine:engine ->
   ?telemetry:Telemetry.t ->
   ?domains:int ->
-  ?record_deps:bool ->
   ?profile:bool ->
   ?slow_ms:float ->
   ?interned:bool ->
@@ -70,14 +74,13 @@ val session :
     sequential calls on the same session afterwards still see every
     previously settled verdict.
 
-    [record_deps] (default [false]) makes the fixpoint solver retain
-    its dependency edges as a first-class structure (PR 3 emitted them
-    only as [fixpoint_dep] telemetry events): for every settled pair
-    the session records which (node, shape) hypotheses its final
-    evaluation consulted, the reverse edges, and a node index.  This
-    is what {!invalidate_nodes} walks; the incremental subsystem
-    ([Shex_incremental]) creates its sessions with it on.  Costs one
-    hash-table update per evaluation; off by default.
+    {b Dependency edges.}  Every session keeps, for each settled
+    pair, the (node, shape) hypotheses its final evaluation consulted
+    and the reverse edges (the same edges [fixpoint_dep] trace events
+    report).  They give {!check} its typing without re-running any
+    matcher, let the solver re-queue exactly the dependents of a
+    refuted hypothesis, and are what {!invalidate_nodes} walks.  Pairs
+    with no edges either way store only their verdict.
 
     [domains] (default [1], values below 1 are clamped to 1) is the
     bulk-validation parallelism {!check_all} may use: with [domains = n
@@ -139,9 +142,7 @@ val session_columnar :
 (** A session over an already-frozen columnar store (e.g. straight
     from the streaming N-Triples bulk loader), skipping the structural
     graph entirely: the structural view is only materialised if
-    something demands it ({!graph}, the Backtracking engine).
-    [record_deps] is not offered — incremental sessions edit the
-    graph, which is exactly what a frozen store is not for. *)
+    something demands it ({!graph}, the Backtracking engine). *)
 
 val telemetry : session -> Telemetry.t
 val schema : session -> Schema.t
@@ -169,9 +170,6 @@ val domains : session -> int
     keep everything else — the retained memo, the per-label
     compilations and the automaton backend's transition tables all
     stay warm. *)
-
-val record_deps : session -> bool
-(** Whether the session retains fixpoint dependency edges. *)
 
 val profiling : session -> bool
 (** Whether the session attributes costs per shape ([?profile]). *)
@@ -215,13 +213,10 @@ val invalidate_nodes :
     retained reference answers, so they are still the greatest-fixpoint
     verdicts of the new graph (see DESIGN.md §11 for the argument).
 
-    On a session without [record_deps] there are no edges to walk, so
-    the whole memo is dropped (sound, not incremental). *)
-
-val dependencies_of :
-  session -> Rdf.Term.t * Label.t -> (Rdf.Term.t * Label.t) list
-(** The (node, shape) hypotheses the pair's latest evaluation
-    consulted — empty when unrecorded or never evaluated. *)
+    A node's memoised pairs are found by probing the memo with each
+    of {!Schema.labels}; the walk then follows the reverse edges every
+    session records, so the cost is proportional to the frontier, not
+    to the memo. *)
 
 val metrics : session -> Telemetry.snapshot
 (** The session's unified metrics snapshot.  Engine counters are read

@@ -28,10 +28,7 @@ type t = {
 
 let create ?(engine = Shex.Validate.Derivatives)
     ?(telemetry = Telemetry.disabled) ?(domains = 1) schema graph =
-  let vs =
-    Shex.Validate.session ~engine ~telemetry ~domains ~record_deps:true
-      schema graph
-  in
+  let vs = Shex.Validate.session ~engine ~telemetry ~domains schema graph in
   { engine; domains; tele = telemetry; vs;
     deltas = Telemetry.counter telemetry "incremental_deltas";
     edits = Telemetry.counter telemetry "incremental_edits";
@@ -52,8 +49,7 @@ let set_schema t schema =
   Telemetry.Counter.incr t.full_resets;
   t.vs <-
     Shex.Validate.session ~engine:t.engine ~telemetry:t.tele
-      ~domains:t.domains ~record_deps:true schema
-      (Shex.Validate.graph t.vs)
+      ~domains:t.domains schema (Shex.Validate.graph t.vs)
 
 let apply t { inserts; deletes } =
   Telemetry.Span.time t.apply_span @@ fun () ->

@@ -1,8 +1,8 @@
 (** Incremental revalidation sessions.
 
-    A {!t} owns a mutable graph and a warm {!Shex.Validate.session}
-    created with dependency recording on: every settled (node, shape)
-    verdict remembers which hypotheses its final evaluation consulted.
+    A {!t} owns a mutable graph and a warm {!Shex.Validate.session},
+    whose memo remembers for every settled (node, shape) verdict which
+    hypotheses its final evaluation consulted.
     {!apply} takes a batch of triple inserts and deletes, computes the
     affected focus-node frontier by walking those edges backwards from
     the edited nodes ({!Shex.Validate.invalidate_nodes}), drops only
@@ -58,12 +58,11 @@ val create :
   Shex.Schema.t ->
   Rdf.Graph.t ->
   t
-(** The underlying validation session is created with
-    [~record_deps:true].  [telemetry] additionally receives the
-    incremental instruments: counters [incremental_deltas] (apply
-    calls), [incremental_edits] (applied triples),
-    [incremental_invalidated] / [incremental_resolved] (frontier pairs
-    cumulative), [incremental_full_resets]; the
+(** [telemetry] is the underlying validation session's registry, and
+    additionally receives the incremental instruments: counters
+    [incremental_deltas] (apply calls), [incremental_edits] (applied
+    triples), [incremental_invalidated] / [incremental_resolved]
+    (frontier pairs cumulative), [incremental_full_resets]; the
     [incremental_frontier_size] histogram (per-delta frontier size);
     and the [incremental_apply] span. *)
 

@@ -73,13 +73,16 @@ let sort_rows rows k1 k2 k3 =
         if c <> 0 then c else Int.compare (k3 a) (k3 b))
     rows
 
-(* Up to 2^21 distinct terms (≫ any portal we load today), a whole
-   (x, y, z) id triple packs into one 63-bit int, turning the freeze
-   sorts into flat int-array sorts — no closure dispatch, no
-   second/third key probes, and adjacent-dedup is [<>] on ints.  The
-   generic 3-key path stays as the fallback past that bound. *)
+(* Below 2^20 distinct terms, a whole (x, y, z) id triple packs into
+   one 63-bit int, turning the freeze sorts into flat int-array sorts —
+   no closure dispatch, no second/third key probes, and adjacent-dedup
+   is [<>] on ints.  Each id gets 21 bits, but the high id starts at
+   bit 42, so its top bit would be the sign bit: an id of 2^20 or more
+   makes the key negative and sorts its row first.  Hence the bound is
+   one bit short of the field width.  The generic 3-key path stays as
+   the fallback past it. *)
 let pack_bits = 21
-let packable ids = Interner.cardinal ids < 1 lsl pack_bits
+let packable ids = Interner.cardinal ids < 1 lsl (pack_bits - 1)
 
 let pack x y z = (((x lsl pack_bits) lor y) lsl pack_bits) lor z
 let unpack_hi k = k lsr (2 * pack_bits)

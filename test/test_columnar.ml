@@ -301,6 +301,40 @@ let test_streaming_load_memory () =
           "streaming load grew the heap by %d words (file is %d words)"
           delta file_words)
 
+(* The packed freeze keys hold the subject id from bit 42, so an id of
+   2^20 or more reaches the sign bit and, if packed, sorts its row
+   first.  A store just past 2^20 terms must fall back to the generic
+   sort: every subject still finds its slice, and the merged node list
+   stays strictly ascending.  Fresh subject, predicate and object per
+   triple keep the store small; subjects sort last, so they hold the
+   highest ids. *)
+let test_columnar_past_packed_bound () =
+  let triples = ((1 lsl 20) / 3) + 2_000 in
+  let iri prefix k = Printf.sprintf "http://e/%s%d" prefix k in
+  let subject k = Rdf.Term.iri (iri "s" k) in
+  let b = Rdf.Columnar.builder ~terms:(3 * triples) ~triples () in
+  for k = 0 to triples - 1 do
+    Rdf.Columnar.add b (subject k)
+      (Rdf.Iri.of_string_exn (iri "p" k))
+      (Rdf.Term.iri (iri "o" k))
+  done;
+  let store = Rdf.Columnar.freeze b in
+  check_bool "store crosses 2^20 terms" true
+    (Rdf.Columnar.terms_cardinal store > 1 lsl 20);
+  for k = 0 to triples - 1 do
+    if Rdf.Columnar.out_triples store (subject k) = [] then
+      Alcotest.failf "subject %d has an empty out_triples slice" k
+  done;
+  let rec strictly_ascending = function
+    | a :: (b :: _ as rest) ->
+        Rdf.Term.compare a b < 0 && strictly_ascending rest
+    | [ _ ] | [] -> true
+  in
+  let nodes = Rdf.Columnar.nodes store in
+  check_int "one node per subject and object" (2 * triples)
+    (List.length nodes);
+  check_bool "nodes ascending, no duplicates" true (strictly_ascending nodes)
+
 let interner_tests =
   [ Alcotest.test_case "resolve ∘ intern = id, dense ids" `Quick
       test_interner_roundtrip;
@@ -324,7 +358,9 @@ let columnar_tests =
     Alcotest.test_case "interned session ≡ structural" `Quick
       test_interned_session_agrees;
     Alcotest.test_case "columnar-primary session" `Quick
-      test_session_columnar ]
+      test_session_columnar;
+    Alcotest.test_case "stores past 2^20 terms stay sorted" `Quick
+      test_columnar_past_packed_bound ]
 
 let streaming_tests =
   [ Alcotest.test_case "fold_file ≡ parse_file" `Quick

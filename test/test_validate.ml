@@ -277,6 +277,94 @@ let test_typing_ops () =
   check_int "to_list" 2 (List.length (Typing.to_list t));
   Alcotest.check typing "combine idempotent" t (Typing.combine t t)
 
+(* ------------------------------------------------------------------ *)
+(* Typing read off the solver's edges ≡ re-evaluation closure          *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference implementation of a check's typing by re-evaluation:
+   re-run the pair's matcher (the one the session's engine picks) under
+   the settled verdicts, collect the references it consults, and
+   recurse into the conformant ones. *)
+let consulted engine session (n, l) =
+  let used = ref [] in
+  let check_ref l' o =
+    used := (o, l') :: !used;
+    Validate.check_bool session o l'
+  in
+  let g = Validate.graph session in
+  let dfa e =
+    Shex_automaton.Dfa.matches ~check_ref (Shex_automaton.Dfa.compile e) n g
+  in
+  (match Schema.find (Validate.schema session) l with
+  | None -> ()
+  | Some e ->
+      ignore
+        (match (engine : Validate.engine) with
+        | Derivatives -> Deriv.matches ~check_ref n g e
+        | Backtracking -> Backtrack.matches ~check_ref n g e
+        | Auto -> (
+            match Sorbe.of_rse e with
+            | Some sorbe -> Sorbe.matches ~check_ref n g sorbe
+            | None -> dfa e)
+        | Compiled -> dfa e));
+  !used
+
+let reference_typing engine session root =
+  let rec closure ((n, l) as p) acc =
+    if Typing.mem n l acc || not (Validate.check_bool session n l) then acc
+    else
+      List.fold_left
+        (fun acc q -> closure q acc)
+        (Typing.add n l acc)
+        (consulted engine session p)
+  in
+  closure root Typing.empty
+
+let typings_agree engine session associations =
+  List.for_all
+    (fun (n, l) ->
+      let outcome = Validate.check session n l in
+      Typing.equal outcome.Validate.typing
+        (reference_typing engine session (n, l)))
+    associations
+
+let engines = [ Validate.Derivatives; Backtracking; Auto; Compiled ]
+
+(* For every engine, on a random case and after every edit of a random
+   script applied through an incremental session. *)
+let typing_equals_reference seed =
+  let case = Workload.Rand_gen.case seed in
+  let script =
+    Workload.Rand_gen.edit_script
+      (Workload.Prng.create (seed lxor 0x5eed))
+      case.schema case.graph 8
+  in
+  List.for_all
+    (fun engine ->
+      typings_agree engine
+        (Validate.session ~engine case.schema case.graph)
+        case.associations
+      &&
+      let module Inc = Shex_incremental.Session in
+      let inc = Inc.create ~engine case.schema case.graph in
+      List.for_all
+        (fun edit ->
+          let d =
+            match edit with
+            | Workload.Rand_gen.Insert tr -> Inc.insert [ tr ]
+            | Workload.Rand_gen.Delete tr -> Inc.delete [ tr ]
+          in
+          ignore (Inc.apply inc d);
+          typings_agree engine (Inc.validation inc) case.associations)
+        script)
+    engines
+
+let prop_typing_equals_reference =
+  QCheck.Test.make ~count:100
+    ~name:"typing from recorded edges ≡ re-evaluation closure, every engine"
+    QCheck.(int_bound 10_000)
+    typing_equals_reference
+
 let suites =
   [ ( "schema",
       [ Alcotest.test_case "build and lookup" `Quick test_schema_build;
@@ -308,4 +396,5 @@ let suites =
           test_memoisation_consistency;
         Alcotest.test_case "missing label" `Quick test_missing_label ] );
     ( "validate.typing",
-      [ Alcotest.test_case "typing operations" `Quick test_typing_ops ] ) ]
+      [ Alcotest.test_case "typing operations" `Quick test_typing_ops;
+        QCheck_alcotest.to_alcotest prop_typing_equals_reference ] ) ]
