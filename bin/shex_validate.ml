@@ -137,10 +137,10 @@ let emit_report session report ~json ~result_map ~quiet ~metrics =
       | Some Mjson -> Some (Shex.Validate.metrics session)
       | Some Mtext | None -> None
     in
-    print_endline
-      (Json.to_string
-         (Shex.Report.to_json ?metrics:embedded
-            ?profile:(session_profile session) report));
+    Json.to_channel stdout
+      (Shex.Report.to_json ?metrics:embedded
+         ?profile:(session_profile session) report);
+    print_newline ();
     match metrics with
     | Some Mtext -> print_metrics session metrics
     | Some Mjson | None -> ()
@@ -596,10 +596,10 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
           | Some Mjson -> Some (Shex.Validate.metrics session)
           | Some Mtext | None -> None
         in
-        print_endline
-          (Json.to_string
-             (Shex.Report.to_json ?metrics:embedded
-                ?profile:(session_profile session) report));
+        Json.to_channel stdout
+          (Shex.Report.to_json ?metrics:embedded
+             ?profile:(session_profile session) report);
+        print_newline ();
         exit 0
       end;
       let typing = report.Shex.Report.typing in

@@ -16,21 +16,16 @@ type t = { entries : entry list; typing : Typing.t }
    [domains = 1] check_all is exactly the sequential fold this used
    to be. *)
 let run session associations =
-  let outcomes = Validate.check_all session associations in
-  let entries, typing =
-    List.fold_left2
-      (fun (entries, typing) (node, label) outcome ->
-        let entry =
-          if outcome.Validate.ok then
-            { node; label; status = Conformant; explain = None }
-          else
-            { node; label; status = Nonconformant;
-              explain = outcome.Validate.explain }
-        in
-        (entry :: entries, Typing.combine typing outcome.Validate.typing))
-      ([], Typing.empty) associations outcomes
+  let outcomes, typing = Validate.check_all session associations in
+  let entries =
+    List.map2
+      (fun (node, label) (outcome : Validate.outcome) ->
+        if outcome.ok then { node; label; status = Conformant; explain = None }
+        else
+          { node; label; status = Nonconformant; explain = outcome.explain })
+      associations outcomes
   in
-  { entries = List.rev entries; typing }
+  { entries; typing }
 
 let run_shape_map session shape_map graph =
   run session (Shape_map.resolve shape_map graph)

@@ -26,7 +26,8 @@ val reason : entry -> string option
 type t = {
   entries : entry list;
   typing : Typing.t;
-      (** all (node, label) facts established by the conformant checks *)
+      (** τ: all (node, label) facts established by the conformant
+          checks, read in one walk ({!Validate.typing}) *)
 }
 
 val run : Validate.session -> (Rdf.Term.t * Label.t) list -> t

@@ -53,7 +53,7 @@ type compiled = Counting of Sorbe.t | Table of compiled_matcher | Generic
 (* What the memo keeps per (node, shape) pair: the verdict, the pairs
    its last evaluation consulted ([uses]) and the reverse edges
    ([users]: the pairs whose last evaluation consulted this one).  The
-   fixpoint solver writes it; the typing of a check, the solver's
+   fixpoint solver writes it; the typing walk, the solver's
    re-queueing of refuted hypotheses and incremental invalidation all
    read it, so the set of facts a verdict depends on is computed once.
    Records are immutable, and every pair without edges shares one of
@@ -363,7 +363,7 @@ let metrics st =
   sample_resources st;
   Telemetry.snapshot st.tele
 
-type outcome = { ok : bool; typing : Typing.t; explain : Explain.t option }
+type outcome = { ok : bool; explain : Explain.t option }
 
 let reason o = Option.map Explain.to_string o.explain
 
@@ -701,17 +701,24 @@ let invalidate_nodes st nodes =
     !frontier;
   List.map (fun (p, (r : record)) -> (p, r.ok)) !frontier
 
-(* The typing τ produced by a successful check: the root fact plus
-   every conformant pair reachable along the memo's [uses] edges — the
-   facts the final matches relied on, combined as §8's typed derivative
-   combines sub-typings with ⊎.  No matcher runs. *)
-let typing_of st root =
+(* The typing τ of a set of roots: every conformant root plus every
+   conformant pair reachable from one along the memo's [uses] edges —
+   the facts the final matches relied on, combined as §8's typed
+   derivative combines sub-typings with ⊎.  One accumulator serves all
+   roots and doubles as the visited set, so each conformant pair is
+   added and expanded once however many roots reach it.  No matcher
+   runs beyond settling the roots. *)
+let typing st roots =
   let rec walk ((n, l) as p) acc =
     let r = Hashtbl.find st.memo p in
     if (not r.ok) || Typing.mem n l acc then acc
     else Pair_set.fold walk r.uses (Typing.add n l acc)
   in
-  walk root Typing.empty
+  List.fold_left
+    (fun acc p ->
+      solve st p;
+      walk p acc)
+    Typing.empty roots
 
 let failure_explain st n l =
   match Schema.find_shape st.schema l with
@@ -725,9 +732,8 @@ let failure_explain st n l =
       Explain.of_trace ~check_ref ~node:n ~label:l trace
 
 let plain_check st n l =
-  if verdict st (n, l) then
-    { ok = true; typing = typing_of st (n, l); explain = None }
-  else { ok = false; typing = Typing.empty; explain = failure_explain st n l }
+  if verdict st (n, l) then { ok = true; explain = None }
+  else { ok = false; explain = failure_explain st n l }
 
 (* Slow-validation capture: time the whole check (first checks of a
    pair include the fixpoint solve they trigger — the honest cost of
@@ -789,24 +795,27 @@ let check_bool st n l =
    fold, and tracing always forces the sequential path because event
    sinks (and the span tree they rebuild) are single-threaded. *)
 let bulk_checker :
-    (session -> (Rdf.Term.t * Label.t) list -> outcome list) option ref =
+    (session -> (Rdf.Term.t * Label.t) list -> outcome list * Typing.t) option
+    ref =
   ref None
 
 let set_bulk_checker f = bulk_checker := Some f
 let bulk_checker_installed () = Option.is_some !bulk_checker
 
 let check_all st associations =
-  let outcomes =
+  let result =
     match !bulk_checker with
     | Some bulk
       when st.domains > 1
            && not (Telemetry.tracing st.tele)
            && List.compare_length_with associations 2 >= 0 ->
         bulk st associations
-    | _ -> List.map (fun (n, l) -> check st n l) associations
+    | _ ->
+        let outcomes = List.map (fun (n, l) -> check st n l) associations in
+        (outcomes, typing st associations)
   in
   sample_resources st;
-  outcomes
+  result
 
 let validate_graph st =
   let nodes =

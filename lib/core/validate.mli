@@ -26,10 +26,10 @@
     A {!session} memoises settled verdicts, so repeated checks over
     the same graph (e.g. {!validate_graph}) share work.  With each
     verdict the memo keeps the (node, shape) pairs its final
-    evaluation consulted and the reverse edges: the typing of a
-    successful {!check} is read off those edges, the solver re-queues
-    refuted hypotheses along them, and {!invalidate_nodes} walks them
-    backwards. *)
+    evaluation consulted and the reverse edges: {!typing} reads τ off
+    those edges in one walk from any number of roots, the solver
+    re-queues refuted hypotheses along them, and {!invalidate_nodes}
+    walks them backwards. *)
 
 (** Which regular-expression engine decides neighbourhood matching. *)
 type engine =
@@ -77,7 +77,7 @@ val session :
     {b Dependency edges.}  Every session keeps, for each settled
     pair, the (node, shape) hypotheses its final evaluation consulted
     and the reverse edges (the same edges [fixpoint_dep] trace events
-    report).  They give {!check} its typing without re-running any
+    report).  They give {!typing} its τ without re-running any
     matcher, let the solver re-queue exactly the dependents of a
     refuted hypothesis, and are what {!invalidate_nodes} walks.  Pairs
     with no edges either way store only their verdict.
@@ -281,12 +281,12 @@ val compiled_stats : session -> cache_stats option
     session instantiated a backend (engine [Compiled], or [Auto] with
     the backend linked). *)
 
-(** Result of checking one node against one label. *)
+(** Result of checking one node against one label: the verdict and,
+    on failure, the blame.  The facts a success establishes are not
+    part of it; {!typing} reads them off the memo for any set of
+    roots at once. *)
 type outcome = {
   ok : bool;
-  typing : Typing.t;
-      (** all (node, label) facts established by the check, including
-          those of recursively visited neighbours; empty on failure *)
   explain : Explain.t option;
       (** on failure, the structured blame set extracted from the
           derivative trace — the fatal triple, the missing arcs, or
@@ -298,22 +298,41 @@ val reason : outcome -> string option
     human-readable failure reason reports print. *)
 
 val check : session -> Rdf.Term.t -> Label.t -> outcome
+(** Settle one (node, label) pair and, on failure, extract its blame.
+    Builds no typing: use {!typing} for the facts a success
+    established. *)
 
 val check_bool : session -> Rdf.Term.t -> Label.t -> bool
 
-val check_all : session -> (Rdf.Term.t * Label.t) list -> outcome list
-(** Check a list of associations, one {!outcome} per association in
-    the input order.  With [domains = 1] (the default) this is exactly
-    [List.map (check session)] — the sequential semantics.  With
-    [domains > 1] and a bulk runner installed (see
-    {!set_bulk_checker}), the associations are sharded over that many
-    OCaml domains, each shard validated in a private sub-session, and
-    the outcomes re-assembled in input order; per-shard telemetry is
-    folded back into the session registry with {!Telemetry.merge}.
-    Verdicts, typings and explanations are identical either way
-    (the greatest fixpoint is canonical, independent of evaluation
-    order).  Tracing sessions (a telemetry sink installed) always run
-    sequentially so the event stream stays single-threaded and
+val typing : session -> (Rdf.Term.t * Label.t) list -> Typing.t
+(** [typing session roots] settles every root, then returns τ: the
+    conformant roots plus every conformant pair reachable from one of
+    them along the memo's recorded [uses] edges — the ⊎ of the
+    sub-typings of §8's successful checks, one per conformant root.
+    It is one walk with one accumulator, so each conformant pair is
+    added and expanded once however many roots reach it: linear in
+    the component, not roots × component.  [typing session [root]] is
+    the typing of a single check; nonconformant roots contribute
+    nothing.  No matcher runs beyond settling the roots. *)
+
+val check_all :
+  session -> (Rdf.Term.t * Label.t) list -> outcome list * Typing.t
+(** Check a list of associations: one {!outcome} per association in
+    the input order, and the τ of the run ({!typing} over the
+    associations).  With [domains = 1] (the default) this is exactly
+    [(List.map (check session) assocs, typing session assocs)] — the
+    sequential semantics.  With [domains > 1] and a bulk runner
+    installed (see {!set_bulk_checker}), the associations are sharded
+    over that many OCaml domains, each shard validated in a private
+    sub-session that also computes {!typing} over its own
+    associations, and the outcomes re-assembled in input order while
+    the at most [domains] shard typings are combined with ⊎;
+    per-shard telemetry is folded back into the session registry with
+    {!Telemetry.merge}.  Verdicts, τ and explanations are identical
+    either way (the greatest fixpoint is canonical, independent of
+    evaluation order, and so are the edges its final evaluations
+    consulted).  Tracing sessions (a telemetry sink installed) always
+    run sequentially so the event stream stays single-threaded and
     byte-identical. *)
 
 (** {1 Parallel bulk runner}
@@ -323,19 +342,22 @@ val check_all : session -> (Rdf.Term.t * Label.t) list -> outcome list
     link time, so core never depends on [Domain]. *)
 
 val set_bulk_checker :
-  (session -> (Rdf.Term.t * Label.t) list -> outcome list) -> unit
+  (session -> (Rdf.Term.t * Label.t) list -> outcome list * Typing.t) ->
+  unit
 (** Install the bulk runner {!check_all} dispatches to (called by
     [Shex_parallel.Bulk.install], which the library also runs at link
-    time).  The runner is only consulted for sessions with
-    [domains > 1], without an active trace sink, and with at least two
-    associations. *)
+    time).  The runner returns what {!check_all} does: the outcomes in
+    input order and the τ of all the associations.  The runner is
+    only consulted for sessions with [domains > 1], without an active
+    trace sink, and with at least two associations. *)
 
 val bulk_checker_installed : unit -> bool
 
 val validate_graph : session -> Typing.t
 (** Checks every node of the graph against every label of the schema
-    and combines the typings of the successful checks — the “shape
-    typing assigned to the nodes in the graph” of §8.  Reproduces
+    and adds each conformant (node, label) pair to the result — the
+    “shape typing assigned to the nodes in the graph” of §8.  Every
+    pair is a root here, so no edge walk is needed.  Reproduces
     Example 2: [:john] and [:bob] get [<Person>], [:mary] does not. *)
 
 val validate :

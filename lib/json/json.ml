@@ -51,7 +51,9 @@ let number_text f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let rec write ~minify ~indent buf t =
+(* [spill] runs after every array element: {!to_channel} uses it to
+   drain the buffer, {!to_string} passes [ignore]. *)
+let rec write ~minify ~spill ~indent buf t =
   let nl level =
     if not minify then begin
       Buffer.add_char buf '\n';
@@ -73,7 +75,8 @@ let rec write ~minify ~indent buf t =
         (fun i item ->
           if i > 0 then Buffer.add_char buf ',';
           nl (indent + 1);
-          write ~minify ~indent:(indent + 1) buf item)
+          write ~minify ~spill ~indent:(indent + 1) buf item;
+          spill buf)
         items;
       nl indent;
       Buffer.add_char buf ']'
@@ -87,15 +90,28 @@ let rec write ~minify ~indent buf t =
           Buffer.add_char buf '"';
           Buffer.add_string buf (escape_string key);
           Buffer.add_string buf (if minify then "\":" else "\": ");
-          write ~minify ~indent:(indent + 1) buf value)
+          write ~minify ~spill ~indent:(indent + 1) buf value)
         members;
       nl indent;
       Buffer.add_char buf '}'
 
 let to_string ?(minify = false) t =
   let buf = Buffer.create 256 in
-  write ~minify ~indent:0 buf t;
+  write ~minify ~spill:ignore ~indent:0 buf t;
   Buffer.contents buf
+
+let spill_bytes = 65536
+
+let to_channel oc t =
+  let buf = Buffer.create (2 * spill_bytes) in
+  let spill buf =
+    if Buffer.length buf > spill_bytes then begin
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf
+    end
+  in
+  write ~minify:false ~spill ~indent:0 buf t;
+  Buffer.output_buffer oc buf
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

@@ -33,6 +33,13 @@ val to_string : ?minify:bool -> t -> string
 (** Render; default is 2-space pretty-printing, [~minify:true] is
     single-line. *)
 
+val to_channel : out_channel -> t -> unit
+(** [to_channel oc t] writes exactly the bytes of the pretty-printed
+    [to_string t] to [oc] without building them as one string: the
+    rendering buffer is drained to the channel after an array element
+    once it holds more than 64 KiB, so a large report costs a bounded
+    buffer rather than its whole text.  Does not flush. *)
+
 val pp : Format.formatter -> t -> unit
 
 val write_file_atomic : string -> string -> unit

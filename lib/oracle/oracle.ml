@@ -18,7 +18,7 @@ let reference schema graph assocs =
       (fun (e : Shex.Report.entry) -> e.status = Shex.Report.Conformant)
       report.entries
   in
-  (oks, Json.to_string ~minify:true (Shex.Report.to_json report))
+  (oks, Json.to_string ~minify:true (Shex.Report.to_json report), report.typing)
 
 (* Engine/domain arms all produce a full report over the same
    association list, so verdicts, blame sets and JSON rendering are
@@ -139,8 +139,26 @@ let sparql_arm schema graph assocs ref_oks =
   in
   if compiled = [] then None else first_mismatch assocs ref_oks
 
+(* The report JSON does not carry τ, so the arms that run the
+   reference engine compare it on its own: on the domain arms each
+   shard reads τ off a private memo and the parent only combines them,
+   so a shard whose typing is lost at the join would otherwise pass
+   unseen.  Arms with another engine are not compared: τ follows the
+   references each engine's final matches consulted, which may differ
+   between engines with the verdicts still agreeing. *)
+let compare_typing ~arm ~ref_typing typing =
+  if Shex.Typing.equal typing ref_typing then None
+  else
+    Some
+      { arm;
+        kind = Report;
+        detail =
+          Printf.sprintf "%s: report typing differs (%d facts, sequential %d)"
+            arm (Shex.Typing.cardinal typing)
+            (Shex.Typing.cardinal ref_typing) }
+
 let divergences schema graph assocs =
-  let ref_oks, ref_json = reference schema graph assocs in
+  let ref_oks, ref_json, ref_typing = reference schema graph assocs in
   let engine_findings =
     List.filter_map
       (fun (arm, engine, domains, interned) ->
@@ -155,7 +173,11 @@ let divergences schema graph assocs =
             report.entries
         in
         let json = Json.to_string ~minify:true (Shex.Report.to_json report) in
-        compare_full ~arm ~ref_oks ~ref_json assocs (oks, json))
+        match compare_full ~arm ~ref_oks ~ref_json assocs (oks, json) with
+        | Some d -> Some d
+        | None when engine = Shex.Validate.Derivatives ->
+            compare_typing ~arm ~ref_typing report.typing
+        | None -> None)
       (engine_arms ())
   in
   let extra =

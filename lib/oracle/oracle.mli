@@ -13,7 +13,10 @@
 (** How two arms disagreed. *)
 type kind =
   | Verdict  (** conformance bits differ *)
-  | Report   (** verdicts agree but report JSON (blame sets) differs *)
+  | Report
+      (** verdicts agree but report JSON (blame sets) differs, or — on
+          the arms that run the reference engine — the report's typing
+          τ differs *)
 
 type divergence = {
   arm : string;

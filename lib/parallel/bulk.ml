@@ -6,8 +6,9 @@
    (its own memo tables, Hrse hash-cons tables, DFA transition caches)
    and a private telemetry registry; the only data crossed between
    domains is the immutable schema and graph going in and the finished
-   outcome lists coming back at join.  That is the whole domain-safety
-   argument: nothing mutable is shared, so nothing needs a lock. *)
+   outcome lists and shard typings coming back at join.  That is the
+   whole domain-safety argument: nothing mutable is shared, so nothing
+   needs a lock. *)
 
 (* [shard n xs] splits [xs] into [n] contiguous runs whose lengths
    differ by at most one (the first [len mod n] runs get the extra
@@ -37,58 +38,58 @@ let shard n xs =
 
 let check_bulk session associations =
   let n = min (Shex.Validate.domains session) (List.length associations) in
-  if n <= 1 then
+  let engine = Shex.Validate.engine session in
+  let schema = Shex.Validate.schema session in
+  (* Interned sessions hand their frozen columnar store to every
+     shard directly — it is immutable (sorted int arrays plus a
+     read-only id table), so sharing it across domains is safe and
+     skips materialising a structural graph per bulk call. *)
+  let store = Shex.Validate.columnar_store session in
+  let graph =
+    match store with Some _ -> None | None -> Some (Shex.Validate.graph session)
+  in
+  let parent_tele = Shex.Validate.telemetry session in
+  let instrumented = Telemetry.enabled parent_tele in
+  let profile = Shex.Validate.profiling session in
+  let tasks =
     List.map
-      (fun (node, label) -> Shex.Validate.check session node label)
-      associations
-  else begin
-    let engine = Shex.Validate.engine session in
-    let schema = Shex.Validate.schema session in
-    (* Interned sessions hand their frozen columnar store to every
-       shard directly — it is immutable (sorted int arrays plus a
-       read-only id table), so sharing it across domains is safe and
-       skips materialising a structural graph per bulk call. *)
-    let store = Shex.Validate.columnar_store session in
-    let graph =
-      match store with Some _ -> None | None -> Some (Shex.Validate.graph session)
-    in
-    let parent_tele = Shex.Validate.telemetry session in
-    let instrumented = Telemetry.enabled parent_tele in
-    let profile = Shex.Validate.profiling session in
-    let tasks =
-      List.map
-        (fun run () ->
-          let telemetry =
-            if instrumented then Telemetry.create () else Telemetry.disabled
-          in
-          let sub =
-            match store with
-            | Some c ->
-                Shex.Validate.session_columnar ~engine ~telemetry ~profile
-                  schema c
-            | None ->
-                Shex.Validate.session ~engine ~telemetry ~profile schema
-                  (Option.get graph)
-          in
-          let outcomes =
-            List.map
-              (fun (node, label) -> Shex.Validate.check sub node label)
-              run
-          in
-          (* Pull-style stats (the compiled backend's cache counters)
-             must land in the shard registry before it leaves the
-             shard's domain. *)
-          if instrumented then ignore (Shex.Validate.metrics sub);
-          (outcomes, telemetry))
-        (shard n associations)
-    in
-    let per_shard = Pool.run tasks in
-    if instrumented then
-      List.iter
-        (fun (_, tele) -> Telemetry.merge ~into:parent_tele tele)
-        per_shard;
-    List.concat_map fst per_shard
-  end
+      (fun run () ->
+        let telemetry =
+          if instrumented then Telemetry.create () else Telemetry.disabled
+        in
+        let sub =
+          match store with
+          | Some c ->
+              Shex.Validate.session_columnar ~engine ~telemetry ~profile
+                schema c
+          | None ->
+              Shex.Validate.session ~engine ~telemetry ~profile schema
+                (Option.get graph)
+        in
+        let outcomes =
+          List.map
+            (fun (node, label) -> Shex.Validate.check sub node label)
+            run
+        in
+        (* τ is read off the shard's own memo, so it must be built
+           before the sub-session is dropped at join. *)
+        let typing = Shex.Validate.typing sub run in
+        (* Pull-style stats (the compiled backend's cache counters)
+           must land in the shard registry before it leaves the
+           shard's domain. *)
+        if instrumented then ignore (Shex.Validate.metrics sub);
+        (outcomes, typing, telemetry))
+      (shard n associations)
+  in
+  let per_shard = Pool.run tasks in
+  if instrumented then
+    List.iter
+      (fun (_, _, tele) -> Telemetry.merge ~into:parent_tele tele)
+      per_shard;
+  ( List.concat_map (fun (outcomes, _, _) -> outcomes) per_shard,
+    List.fold_left
+      (fun acc (_, typing, _) -> Shex.Typing.combine acc typing)
+      Shex.Typing.empty per_shard )
 
 let install () = Shex.Validate.set_bulk_checker check_bulk
 

@@ -237,14 +237,20 @@ let test_session_stats () =
   let plain = Validate.session schema graph in
   check_bool "no stats without backend" true
     (Option.is_none (Validate.compiled_stats plain));
-  (* check/typing parity on a single node, via the public one-shot API. *)
+  (* check/typing parity on a single node, via the one-shot API and a
+     fresh session per engine. *)
   match valid with
   | [] -> ()
   | n :: _ ->
       let c = Validate.validate ~engine:Validate.Compiled schema graph n person in
       let d = Validate.validate schema graph n person in
       check_bool "ok parity" d.Validate.ok c.Validate.ok;
-      Alcotest.check typing "typing parity" d.Validate.typing c.Validate.typing
+      let typing_of engine =
+        Validate.typing (Validate.session ~engine schema graph) [ (n, person) ]
+      in
+      Alcotest.check typing "typing parity"
+        (typing_of Validate.Derivatives)
+        (typing_of Validate.Compiled)
 
 let suites =
   [ ( "automaton",

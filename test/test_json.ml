@@ -58,6 +58,66 @@ let test_roundtrip () =
   check_bool "minified roundtrip" true
     (parse (Json.to_string ~minify:true v) = v)
 
+(* [to_channel] must write exactly [to_string]'s bytes, including
+   across its 64 KiB spills: each random document is also checked
+   between two padding arrays that push the output well past that
+   size. *)
+let gen_text =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneofl
+           [ 'a'; 'z'; ' '; '"'; '\\'; '\n'; '\t'; '\001'; '\x7f';
+             '\xc3'; '\xa9' ])
+      (int_bound 12))
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 40)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [ return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map Json.int small_signed_int;
+                 map (fun f -> Json.Number f) float;
+                 map (fun s -> Json.String s) gen_text ]
+           in
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 ( 1,
+                   map (fun l -> Json.Array l)
+                     (list_size (int_bound 5) (self (n / 3))) );
+                 ( 1,
+                   map (fun l -> Json.Object l)
+                     (list_size (int_bound 5) (pair gen_text (self (n / 3))))
+                 ) ]))
+
+let via_channel t =
+  let path = Filename.temp_file "shex_json" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Json.to_channel oc t);
+      In_channel.with_open_bin path In_channel.input_all)
+
+let prop_to_channel =
+  QCheck.Test.make ~count:20
+    ~name:"to_channel ≡ to_string"
+    (QCheck.make ~print:(Json.to_string ~minify:true) gen_json)
+    (fun doc ->
+      let pad =
+        Json.Array
+          (List.init 1_600 (fun _ -> Json.String "\"q\" \\ \n padding"))
+      in
+      let big = Json.Array [ pad; doc; pad; doc ] in
+      String.length (Json.to_string ~minify:true big) > 65_536
+      && List.for_all
+           (fun t -> String.equal (via_channel t) (Json.to_string t))
+           [ doc; big ])
+
 let test_accessors () =
   let v = parse "{\"a\": 1, \"b\": \"x\", \"c\": [1,2]}" in
   Alcotest.(check (option int)) "find_int" (Some 1) (Json.find_int "a" v);
@@ -74,4 +134,5 @@ let suites =
         Alcotest.test_case "string escapes" `Quick test_string_escapes;
         Alcotest.test_case "errors" `Quick test_errors;
         Alcotest.test_case "roundtrip" `Quick test_roundtrip;
-        Alcotest.test_case "accessors" `Quick test_accessors ] ) ]
+        Alcotest.test_case "accessors" `Quick test_accessors;
+        QCheck_alcotest.to_alcotest prop_to_channel ] ) ]

@@ -246,7 +246,7 @@ let test_session_cache_lifetime () =
   | None -> Alcotest.fail "compiled session must expose cache stats");
   (* A sharded bulk run builds private sub-sessions; the shared memo
      is neither clobbered nor grown behind the session's back. *)
-  let outcomes = Validate.check_all st [ (node "n", s); (node "m", s) ] in
+  let outcomes, _ = Validate.check_all st [ (node "n", s); (node "m", s) ] in
   check_bool "bulk verdicts agree" true
     (List.map (fun (o : Validate.outcome) -> o.Validate.ok) outcomes
     = [ true; false ]);
@@ -330,11 +330,11 @@ let arb_instance =
 let observe ~domains schema g associations =
   let telemetry = Telemetry.create () in
   let st = Validate.session ~telemetry ~domains schema g in
-  let outcomes = Validate.check_all st associations in
+  let outcomes, typing = Validate.check_all st associations in
   let metrics = Json.to_string (Telemetry.to_json (Validate.metrics st)) in
   ( List.map (fun (o : Validate.outcome) -> o.Validate.ok) outcomes,
     List.map Validate.reason outcomes,
-    List.map (fun (o : Validate.outcome) -> o.Validate.typing) outcomes,
+    typing,
     metrics )
 
 let prop_parallel_equals_sequential =
@@ -342,16 +342,16 @@ let prop_parallel_equals_sequential =
     ~name:"check_all: domains 2/4 ≡ domains 1 (verdicts, blame, telemetry)"
     arb_instance
     (fun (schema, g, associations) ->
-      let ok0, reasons0, typings0, metrics0 =
+      let ok0, reasons0, typing0, metrics0 =
         observe ~domains:1 schema g associations
       in
       List.for_all
         (fun domains ->
-          let ok, reasons, typings, metrics =
+          let ok, reasons, typing, metrics =
             observe ~domains schema g associations
           in
           ok = ok0 && reasons = reasons0
-          && List.for_all2 Typing.equal typings typings0
+          && Typing.equal typing typing0
           && String.equal metrics metrics0)
         [ 2; 4 ])
 
@@ -374,7 +374,7 @@ let test_tracing_stays_sequential () =
   let associations =
     [ (node "n", Label.of_string "S"); (num 1, Label.of_string "S") ]
   in
-  let outcomes = Validate.check_all st associations in
+  let outcomes, _ = Validate.check_all st associations in
   check_bool "traced run produced events" true (!seen > 0);
   check_bool "verdicts unchanged" true
     (List.map (fun (o : Validate.outcome) -> o.Validate.ok) outcomes

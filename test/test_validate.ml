@@ -108,12 +108,10 @@ let test_example2_typing () =
   let outcome = Validate.check session (node "john") person in
   check_bool "ok" true outcome.Validate.ok;
   (* Checking john also certifies bob (through foaf:knows). *)
-  check_bool "john typed" true
-    (Typing.mem (node "john") person outcome.Validate.typing);
-  check_bool "bob typed" true
-    (Typing.mem (node "bob") person outcome.Validate.typing);
-  check_bool "mary not typed" false
-    (Typing.mem (node "mary") person outcome.Validate.typing)
+  let typing = Validate.typing session [ (node "john", person) ] in
+  check_bool "john typed" true (Typing.mem (node "john") person typing);
+  check_bool "bob typed" true (Typing.mem (node "bob") person typing);
+  check_bool "mary not typed" false (Typing.mem (node "mary") person typing)
 
 let test_validate_graph () =
   let session = Validate.session person_schema example2_graph in
@@ -322,10 +320,10 @@ let reference_typing engine session root =
 
 let typings_agree engine session associations =
   List.for_all
-    (fun (n, l) ->
-      let outcome = Validate.check session n l in
-      Typing.equal outcome.Validate.typing
-        (reference_typing engine session (n, l)))
+    (fun root ->
+      Typing.equal
+        (Validate.typing session [ root ])
+        (reference_typing engine session root))
     associations
 
 let engines = [ Validate.Derivatives; Backtracking; Auto; Compiled ]
@@ -365,6 +363,71 @@ let prop_typing_equals_reference =
     QCheck.(int_bound 10_000)
     typing_equals_reference
 
+(* The τ a bulk run returns comes from one walk over all roots (per
+   shard, at domains 2); it must equal the ⊎ of one walk per
+   conformant root, and each of those the re-evaluation closure. *)
+let single_walk_equals_per_root seed =
+  let case = Workload.Rand_gen.case seed in
+  List.for_all
+    (fun engine ->
+      List.for_all
+        (fun domains ->
+          let st =
+            Validate.session ~engine ~domains case.schema case.graph
+          in
+          let outcomes, tau = Validate.check_all st case.associations in
+          let conformant =
+            List.filter_map
+              (fun (root, (o : Validate.outcome)) ->
+                if o.ok then Some root else None)
+              (List.combine case.associations outcomes)
+          in
+          let per_root =
+            List.map (fun root -> Validate.typing st [ root ]) conformant
+          in
+          Typing.equal tau (List.fold_left Typing.combine Typing.empty per_root)
+          && List.for_all2
+               (fun root t -> Typing.equal t (reference_typing engine st root))
+               conformant per_root)
+        [ 1; 2 ])
+    engines
+
+let prop_single_walk_equals_per_root =
+  QCheck.Test.make ~count:100
+    ~name:"check_all τ ≡ ⊎ of per-root typings, every engine, domains 1/2"
+    QCheck.(int_bound 10_000)
+    single_walk_equals_per_root
+
+(* Minor words are deterministic, so they pin the complexity of the
+   report's typing where wall time could not: on a portal whose knows
+   arcs form one giant component, doubling the persons must not
+   quadruple the allocation, as one walk per root would. *)
+let test_typing_walk_linear () =
+  let schema, person = Workload.Foaf_gen.person_schema () in
+  let report_words n =
+    let { Workload.Foaf_gen.graph; _ } =
+      Workload.Foaf_gen.generate
+        { Workload.Foaf_gen.n_persons = n; invalid_fraction = 0.1;
+          knows_degree = 3; seed = 1 }
+    in
+    let session = Validate.session schema graph in
+    let associations =
+      List.map (fun n -> (n, person)) (Rdf.Graph.nodes graph)
+    in
+    let before = Gc.minor_words () in
+    let report = Report.run session associations in
+    let words = Gc.minor_words () -. before in
+    check_bool "giant component typed" true
+      (Typing.cardinal report.Report.typing > n / 2);
+    words
+  in
+  let small = report_words 400 and large = report_words 800 in
+  let ratio = large /. small in
+  if ratio >= 3. then
+    Alcotest.failf
+      "minor words %.0f → %.0f for 2× persons (ratio %.2f ≥ 3)" small large
+      ratio
+
 let suites =
   [ ( "schema",
       [ Alcotest.test_case "build and lookup" `Quick test_schema_build;
@@ -397,4 +460,7 @@ let suites =
         Alcotest.test_case "missing label" `Quick test_missing_label ] );
     ( "validate.typing",
       [ Alcotest.test_case "typing operations" `Quick test_typing_ops;
-        QCheck_alcotest.to_alcotest prop_typing_equals_reference ] ) ]
+        QCheck_alcotest.to_alcotest prop_typing_equals_reference;
+        QCheck_alcotest.to_alcotest prop_single_walk_equals_per_root;
+        Alcotest.test_case "report typing walk stays linear" `Quick
+          test_typing_walk_linear ] ) ]
