@@ -87,46 +87,11 @@ type obs = {
    runs in the loop, not in signal context. *)
 let stop_reason : string option ref = ref None
 
-(* Schemas are small; data graphs are not.  Schema files are still
-   read whole (the ShExC/ShExJ parsers want a string), but graph
-   loading streams through the Turtle lexer's sliding window so the
-   daemon's peak memory during [load] is bounded by the graph, never
-   graph + source text. *)
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> bad "%s" msg
-
-let load_schema path =
-  let src = read_file path in
-  let result =
-    if Filename.check_suffix path ".json" then Shexc.Shexj.import_string src
-    else Shexc.Shexc_parser.parse_schema src
-  in
-  match result with Ok s -> s | Error msg -> bad "%s: %s" path msg
-
-let load_graph path =
-  match Turtle.Parse.parse_file path with
-  | Ok d -> d.Turtle.Parse.graph
-  | Error msg -> bad "%s: %s" path msg
-
-(* Same convention as --shape: exact label or suffix match. *)
-let resolve_label schema name =
-  let exact = Shex.Label.of_string name in
-  if Shex.Schema.mem schema exact then exact
-  else
-    let labels = Shex.Schema.labels schema in
-    match
-      List.find_opt
-        (fun l ->
-          let s = Shex.Label.to_string l in
-          let n = String.length s and m = String.length name in
-          n >= m && String.sub s (n - m) m = name)
-        labels
-    with
-    | Some l -> l
-    | None ->
-        bad "unknown shape label %S (known: %s)" name
-          (String.concat ", " (List.map Shex.Label.to_string labels))
+(* Loader errors answer the request: "error: ..." and keep serving. *)
+let or_bad = function Ok v -> v | Error msg -> raise (Bad msg)
+let load_schema path = or_bad (Load.load_schema path)
+let load_graph path = or_bad (Load.load_graph path)
+let resolve_label schema name = or_bad (Load.resolve_label schema name)
 
 let require_session st =
   match st.session with
@@ -462,17 +427,30 @@ let route st obs path =
    deadlocking the loop with complete commands parked in a buffer the
    loop cannot see.  A small line accumulator does the splitting. *)
 
+(* The longest command line accepted, in bytes without its '\n'.  A
+   longer line is discarded up to its next '\n' and answered with one
+   error, so a runaway client costs at most this much buffer.  Bulk
+   data belongs in a file passed to "load". *)
+let max_line_bytes = 1 lsl 20
+
 type reader = {
-  rbuf : Buffer.t;  (* bytes read but not yet terminated by '\n' *)
+  rbuf : Buffer.t;  (* the current line's bytes so far *)
   chunk : Bytes.t;
+  mutable skipping : bool;  (* current line overflowed: drop to '\n' *)
   mutable eof : bool;
 }
 
-let make_reader () = { rbuf = Buffer.create 512; chunk = Bytes.create 65536; eof = false }
+let make_reader () =
+  { rbuf = Buffer.create 512; chunk = Bytes.create 65536; skipping = false;
+    eof = false }
+
+let oversized =
+  Error (Printf.sprintf "line exceeds %d bytes; discarded" max_line_bytes)
 
 (* Read once (the fd just selected readable) and return the completed
-   lines, keeping any trailing partial line buffered.  At EOF a
-   non-empty partial counts as a final line. *)
+   lines in order, [oversized] standing in for a line over the cap.
+   Only the new chunk is scanned; a trailing partial line stays
+   buffered.  At EOF a non-empty partial counts as a final line. *)
 let reader_drain r fd =
   match Unix.read fd r.chunk 0 (Bytes.length r.chunk) with
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> []
@@ -480,22 +458,35 @@ let reader_drain r fd =
       r.eof <- true;
       let rest = Buffer.contents r.rbuf in
       Buffer.clear r.rbuf;
-      if rest = "" then [] else [ rest ]
+      r.skipping <- false;
+      if rest = "" then [] else [ Ok rest ]
   | n ->
-      Buffer.add_subbytes r.rbuf r.chunk 0 n;
-      let s = Buffer.contents r.rbuf in
-      let parts = String.split_on_char '\n' s in
-      let rec split_last acc = function
-        | [ last ] -> (List.rev acc, last)
-        | x :: tl -> split_last (x :: acc) tl
-        | [] -> ([], "")
+      let items = ref [] in
+      (* Append chunk bytes [start, stop) to the current line. *)
+      let take start stop =
+        if not r.skipping then
+          if Buffer.length r.rbuf + (stop - start) > max_line_bytes then begin
+            Buffer.clear r.rbuf;
+            r.skipping <- true;
+            items := oversized :: !items
+          end
+          else Buffer.add_subbytes r.rbuf r.chunk start (stop - start)
       in
-      let lines, partial = split_last [] parts in
-      Buffer.clear r.rbuf;
-      Buffer.add_string r.rbuf partial;
-      lines
+      let rec scan start i =
+        if i = n then take start n
+        else if Bytes.get r.chunk i = '\n' then begin
+          take start i;
+          if r.skipping then r.skipping <- false
+          else items := Ok (Buffer.contents r.rbuf) :: !items;
+          Buffer.clear r.rbuf;
+          scan (i + 1) (i + 1)
+        end
+        else scan start (i + 1)
+      in
+      scan 0 0;
+      List.rev !items
 
-let process_line st obs line =
+let process_line st obs input =
   Telemetry.Counter.incr st.requests;
   st.request_id <- st.request_id + 1;
   let rid = st.request_id in
@@ -504,8 +495,11 @@ let process_line st obs line =
   | None -> ());
   let t0 = Telemetry.now () in
   let result, quit =
-    match Json.of_string line with
-    | Error msg -> (Error ("parse: " ^ msg), false)
+    match
+      Result.bind input (fun line ->
+          Result.map_error (( ^ ) "parse: ") (Json.of_string line))
+    with
+    | Error msg -> (Error msg, false)
     | Ok cmd -> (
         match handle st obs cmd with
         | json -> (Ok json, false)
@@ -560,8 +554,9 @@ let rec loop st obs reader =
       if List.mem Unix.stdin readable then begin
         let lines = reader_drain reader Unix.stdin in
         List.iter
-          (fun line ->
-            if String.trim line <> "" then process_line st obs line)
+          (function
+            | Ok line when String.trim line = "" -> ()
+            | input -> process_line st obs input)
           lines;
         if reader.eof && obs.http = None && obs.journal = None then
           (* Plain daemon: EOF ends the conversation, like before the

@@ -18,9 +18,6 @@ open Cmdliner
 let () = Shex_automaton.Engine.install ()
 let () = Shex_parallel.Bulk.install ()
 
-let read_file path =
-  In_channel.with_open_bin path In_channel.input_all
-
 type engine_choice = Deriv | Back | AutoE | CompiledE
 
 let engine_of_choice = function
@@ -31,45 +28,16 @@ let engine_of_choice = function
 
 type metrics_mode = Mtext | Mjson
 
-let load_schema path =
-  let src = read_file path in
-  let result =
-    if Filename.check_suffix path ".json" then
-      Shexc.Shexj.import_string src
-    else Shexc.Shexc_parser.parse_schema src
-  in
-  match result with
-  | Ok s -> s
-  | Error msg -> Printf.eprintf "%s: %s\n" path msg; exit 2
-
-let load_graph path =
-  (* Streams: the lexer slides a window over the channel, so loading a
-     multi-GB data file never materialises the source text. *)
-  match Turtle.Parse.parse_file path with
-  | Ok d -> d.Turtle.Parse.graph
-  | Error msg -> Printf.eprintf "%s: %s\n" path msg; exit 2
-
-let resolve_label schema name =
-  (* Accept both the exact label and a suffix match, so users can say
-     "Person" for <http://…/Person>. *)
-  let exact = Shex.Label.of_string name in
-  if Shex.Schema.mem schema exact then Some exact
-  else
-    List.find_opt
-      (fun l ->
-        let s = Shex.Label.to_string l in
-        let n = String.length s and m = String.length name in
-        n >= m && String.sub s (n - m) m = name)
-      (Shex.Schema.labels schema)
-
-let require_label schema name =
-  match resolve_label schema name with
-  | Some l -> l
-  | None ->
-      Printf.eprintf "unknown shape label %S (known: %s)\n" name
-        (String.concat ", "
-           (List.map Shex.Label.to_string (Shex.Schema.labels schema)));
+(* Loader errors end the run: message on stderr, exit 2. *)
+let or_exit = function
+  | Ok v -> v
+  | Error msg ->
+      prerr_endline msg;
       exit 2
+
+let load_schema path = or_exit (Load.load_schema path)
+let load_graph path = or_exit (Load.load_graph path)
+let require_label schema name = or_exit (Load.resolve_label schema name)
 
 let require_data = function
   | Some p -> p
@@ -451,7 +419,7 @@ let oracle_cmd spec =
       end
 
 let run_validate schema_path data_path node_opt shape_opt shape_map_opt
-    engine domains interned profile slow_ms engine_stats metrics trace_json
+    engine domains profile slow_ms engine_stats metrics trace_json
     trace_chrome trace_folded explain trace show_sparql export_shexj json
     result_map quiet infer_nodes infer_label =
   (match infer_nodes with
@@ -548,7 +516,7 @@ let run_validate schema_path data_path node_opt shape_opt shape_map_opt
   | fs -> Telemetry.set_sink tele (Some (fun ev -> List.iter (fun f -> f ev) fs)));
   let session =
     Shex.Validate.session ~engine:(engine_of_choice engine) ~telemetry:tele
-      ~domains ~interned ~profile ?slow_ms schema graph
+      ~domains ~profile ?slow_ms schema graph
   in
   let maybe_stats () =
     if engine_stats then print_engine_stats session;
@@ -642,7 +610,7 @@ let obs_get_cmd url =
 let validate_cmd oracle analyze check_compat optimize serve obs_port
     obs_interval journal journal_max_kb
     journal_replay obs_get schema_path data_path node_opt shape_opt
-    shape_map_opt engine domains interned profile slow_ms engine_stats metrics
+    shape_map_opt engine domains profile slow_ms engine_stats metrics
     trace_json trace_chrome trace_folded explain trace show_sparql
     export_shexj json result_map quiet infer_nodes infer_label =
   try
@@ -671,7 +639,7 @@ let validate_cmd oracle analyze check_compat optimize serve obs_port
         ()
     else
       run_validate schema_path data_path node_opt shape_opt shape_map_opt
-        engine domains interned profile slow_ms engine_stats metrics
+        engine domains profile slow_ms engine_stats metrics
         trace_json trace_chrome trace_folded explain trace show_sparql
         export_shexj json result_map quiet infer_nodes infer_label
   with
@@ -759,19 +727,6 @@ let domains_arg =
            totals are identical to sequential mode; trace sinks \
            ($(b,--trace-json), $(b,--trace-chrome), $(b,--trace-folded)) \
            force the sequential path so event streams stay ordered.")
-
-let interned_arg =
-  Arg.(
-    value & flag
-    & info [ "interned" ]
-        ~doc:
-          "Validate against the int-interned columnar store: terms are \
-           interned to dense ids and neighbourhoods come from \
-           binary-searched sorted int columns instead of structural \
-           index walks.  Verdicts, reports and explanations are \
-           byte-identical to the default representation (the \
-           differential oracle pins this); the win is load and lookup \
-           speed on large graphs.")
 
 let profile_arg =
   Arg.(
@@ -1062,7 +1017,7 @@ let cmd =
       $ journal_replay_arg $ obs_get_arg $ schema_arg $ data_arg
       $ node_arg
       $ shape_arg $ shape_map_arg $ engine_arg $ domains_arg
-      $ interned_arg $ profile_arg $ slow_ms_arg
+      $ profile_arg $ slow_ms_arg
       $ engine_stats_arg
       $ metrics_arg
       $ trace_json_arg $ trace_chrome_arg $ trace_folded_arg $ explain_arg

@@ -87,7 +87,8 @@ let () =
   (* Export the invalid persons' neighbourhoods as Turtle for triage. *)
   let invalid_subgraph =
     List.fold_left
-      (fun acc n -> Rdf.Graph.union acc (Rdf.Graph.neighbourhood n graph))
+      (fun acc n ->
+        Rdf.Graph.union acc (Rdf.Graph.of_list (Rdf.Graph.out_triples n graph)))
       Rdf.Graph.empty invalid
   in
   let turtle = Turtle.Write.to_string invalid_subgraph in

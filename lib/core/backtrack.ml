@@ -76,11 +76,7 @@ let matches_counted ~check_ref ~instr dts e =
   let result = go e dts in
   (result, !work)
 
-let matches_list ?(check_ref = no_refs) ?(instr = no_instruments) dts e =
-  fst (matches_counted ~check_ref ~instr dts e)
-
-let matches_count ?(check_ref = no_refs) ?(instr = no_instruments) n g e =
-  let dts = Neigh.of_node ~include_inverse:(Rse.has_inverse e) n g in
+let matches_list_count ~check_ref ~instr n dts e =
   let (result, work) as r = matches_counted ~check_ref ~instr dts e in
   if Telemetry.tracing instr.tele then
     Telemetry.emit instr.tele
@@ -90,6 +86,14 @@ let matches_count ?(check_ref = no_refs) ?(instr = no_instruments) n g e =
            ("branches", Telemetry.Int work);
            ("ok", Telemetry.Bool result) ]);
   r
+
+let matches_list ?(check_ref = no_refs) ?(instr = no_instruments) n dts e =
+  fst (matches_list_count ~check_ref ~instr n dts e)
+
+let matches_count ?(check_ref = no_refs) ?(instr = no_instruments) n g e =
+  matches_list_count ~check_ref ~instr n
+    (Neigh.of_node ~include_inverse:(Rse.has_inverse e) n g)
+    e
 
 let matches ?check_ref ?instr n g e =
   fst (matches_count ?check_ref ?instr n g e)

@@ -46,8 +46,11 @@ val matches_count :
 val matches_list :
   ?check_ref:check_ref ->
   ?instr:instruments ->
+  Rdf.Term.t ->
   Neigh.dtriple list ->
   Rse.t ->
   bool
-(** Match an explicit neighbourhood (used by tests that exercise
-    Example 8 directly). *)
+(** [matches_list n dts e]: {!matches} on [n]'s neighbourhood [dts]
+    computed by the caller — how a validation session runs this
+    engine on the same Σgn as the others.  Counts and traces like
+    {!matches}. *)

@@ -88,9 +88,8 @@ val matches_dts :
   Rse.t ->
   bool
 (** {!matches} over an already-computed neighbourhood — the hot-path
-    entry point: {!Validate} computes Σgn once per evaluation (from
-    the structural indexes or a columnar slice) and hands it to
-    whichever engine runs.  The caller must have included incoming
+    entry point: {!Validate} computes Σgn once per evaluation
+    ({!Neigh.of_node}) and hands it to whichever engine runs.  The caller must have included incoming
     triples exactly when [Rse.has_inverse e]. *)
 
 (** {1 Traced matching}

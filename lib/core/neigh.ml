@@ -8,21 +8,9 @@ let focus_other_end _n dt =
   else Rdf.Triple.obj dt.triple
 
 let of_node ?(include_inverse = false) n g =
-  let outgoing = Rdf.Graph.neighbourhood n g in
-  let out_list = List.map out (Rdf.Graph.to_list outgoing) in
+  let out_list = List.map out (Rdf.Graph.out_triples n g) in
   if not include_inverse then out_list
-  else
-    let incoming = Rdf.Graph.triples_with_object n g in
-    out_list @ List.map inc (Rdf.Graph.to_list incoming)
-
-(* Columnar slices come back in Triple.compare order (canonical ids),
-   so this produces the exact list [of_node] produces on the
-   structural view of the same store — the ordering the byte-identity
-   guarantees lean on. *)
-let of_columnar ?(include_inverse = false) n c =
-  let out_list = List.map out (Rdf.Columnar.out_triples c n) in
-  if not include_inverse then out_list
-  else out_list @ List.map inc (Rdf.Columnar.in_triples c n)
+  else out_list @ List.map inc (Rdf.Graph.in_triples n g)
 
 let arc_matches_values (a : Rse.arc) vo dt =
   Bool.equal a.inverse dt.inverse

@@ -23,14 +23,9 @@ val of_node :
   ?include_inverse:bool -> Rdf.Term.t -> Rdf.Graph.t -> dtriple list
 (** [of_node n g] is Σgn as directed triples, in triple order.  With
     [~include_inverse:true], incoming triples ⟨s,p,n⟩ follow the
-    outgoing ones (self-loops appear in both directions). *)
-
-val of_columnar :
-  ?include_inverse:bool -> Rdf.Term.t -> Rdf.Columnar.t -> dtriple list
-(** {!of_node} against a columnar store: the outgoing run is a
-    binary-searched SPO slice, the incoming run an OSP slice.  Returns
-    the exact list {!of_node} returns on [Rdf.Columnar.to_graph c]
-    (canonical ids make slice order triple order). *)
+    outgoing ones (self-loops appear in both directions).  Both runs
+    are slices of the graph's store ({!Rdf.Graph.out_triples},
+    {!Rdf.Graph.in_triples}); nothing is re-indexed per call. *)
 
 val arc_matches_values :
   Rse.arc -> Value_set.obj -> dtriple -> bool

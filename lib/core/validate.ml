@@ -183,20 +183,9 @@ let make_prof tele =
 type session = {
   engine : engine;
   schema : Schema.t;
-  mutable graph : Rdf.Graph.t option;
-      (* the structural view; mutable for {!set_graph} (incremental
-         sessions swap in the edited graph and invalidate the affected
-         memo entries) and [None] until demanded on columnar-primary
-         sessions ({!session_columnar}), which materialise it lazily *)
-  mutable columnar : Rdf.Columnar.t option;
-      (* the interned accelerator: when present, neighbourhoods are
-         binary-searched slices of the frozen int columns instead of
-         structural index walks.  Canonical ids keep the slices in
-         triple order, so verdicts, traces and reports are
-         byte-identical either way (the oracle's interned arm pins
-         this). *)
-  interned : bool;
-      (* whether {!set_graph} should rebuild the accelerator *)
+  mutable graph : Rdf.Graph.t;
+      (* mutable for {!set_graph}: incremental sessions swap in the
+         edited graph and invalidate the affected memo entries *)
   domains : int;
       (* requested bulk-validation parallelism; 1 = sequential *)
   memo : (Pair.t, record) Hashtbl.t;  (* settled pairs *)
@@ -217,8 +206,8 @@ type session = {
       (* the counters a slowlog entry reports deltas of *)
 }
 
-let make_session ~engine ~telemetry ~domains ~profile ~slow_ms ~graph
-    ~columnar ~interned schema =
+let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
+    ?(domains = 1) ?(profile = false) ?slow_ms schema graph =
   let backend =
     match (engine, !compiled_backend_factory) with
     | (Compiled | Auto), Some make -> Some (make telemetry)
@@ -228,7 +217,7 @@ let make_session ~engine ~telemetry ~domains ~profile ~slow_ms ~graph
            (link shex_automaton, or call Shex_automaton.Engine.install)"
     | _, _ -> None
   in
-  { engine; schema; graph; columnar; interned;
+  { engine; schema; graph;
     domains = max 1 domains;
     memo = Hashtbl.create 256;
     compiled = Hashtbl.create 16;
@@ -252,36 +241,9 @@ let make_session ~engine ~telemetry ~domains ~profile ~slow_ms ~graph
           "sorbe_matches"; "sorbe_counter_updates"; "fixpoint_iterations";
           "fixpoint_flips"; "fixpoint_demands" ] }
 
-let session ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
-    ?(domains = 1) ?(profile = false) ?slow_ms ?(interned = false) schema
-    graph =
-  make_session ~engine ~telemetry ~domains ~profile ~slow_ms
-    ~graph:(Some graph)
-    ~columnar:(if interned then Some (Rdf.Columnar.of_graph graph) else None)
-    ~interned schema
-
-let session_columnar ?(engine = Derivatives) ?(telemetry = Telemetry.disabled)
-    ?(domains = 1) ?(profile = false) ?slow_ms schema columnar =
-  make_session ~engine ~telemetry ~domains ~profile ~slow_ms ~graph:None
-    ~columnar:(Some columnar) ~interned:true schema
-
 let telemetry st = st.tele
 let schema st = st.schema
-
-let graph st =
-  match st.graph with
-  | Some g -> g
-  | None ->
-      (* Columnar-primary session: materialise the structural view on
-         first demand (the Backtracking baseline, incremental swaps
-         and external callers want a {!Rdf.Graph.t}).  The hot
-         validation paths never reach this. *)
-      let g = Rdf.Columnar.to_graph (Option.get st.columnar) in
-      st.graph <- Some g;
-      g
-
-let interned st = Option.is_some st.columnar
-let columnar_store st = st.columnar
+let graph st = st.graph
 let engine st = st.engine
 let domains st = st.domains
 let memo_size st = Hashtbl.length st.memo
@@ -295,19 +257,12 @@ let set_slow_ms st = function
       | Some slog -> Slowlog.set_threshold_ms slog ms
       | None -> st.slowlog <- Some (Slowlog.create ~threshold_ms:ms ()))
 
-let set_graph st graph =
-  st.graph <- Some graph;
-  st.columnar <-
-    (if st.interned then Some (Rdf.Columnar.of_graph graph) else None)
+let set_graph st graph = st.graph <- graph
 
-(* Σgn through whichever representation the session holds: a
-   binary-searched columnar slice when the accelerator is present, the
-   structural indexes otherwise.  Either way the list is in triple
-   order, so every engine sees the same consumption sequence. *)
+(* Σgn in triple order: every engine sees the same consumption
+   sequence. *)
 let neighbourhood st ~include_inverse n =
-  match st.columnar with
-  | Some c -> Neigh.of_columnar ~include_inverse n c
-  | None -> Neigh.of_node ~include_inverse n (graph st)
+  Neigh.of_node ~include_inverse n st.graph
 
 let compile st l e =
   match Hashtbl.find_opt st.compiled l with
@@ -491,8 +446,7 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
          shape). *)
       (* The neighbourhood is computed inside the matcher closure (so
          profiled runs charge it to the shape, as when the engines
-         computed it themselves) through {!neighbourhood} — one binary
-         search per evaluation on interned sessions. *)
+         computed it themselves) through {!neighbourhood}. *)
       let deriv_run () =
         let dts = neighbourhood st ~include_inverse:(Rse.has_inverse e) n in
         Deriv.matches_dts ~check_ref ~instr:st.deriv_instr n dts e
@@ -501,12 +455,13 @@ let rec evaluate st ~value ~demand ((n, l) : Pair.t) =
         match st.engine with
         | Derivatives -> ("derivatives", deriv_run)
         | Backtracking ->
-            (* The Fig.-1 baseline decomposes whole neighbourhood
-               graphs, so it stays on the structural view. *)
             ( "backtracking",
               fun () ->
-                Backtrack.matches ~check_ref ~instr:st.back_instr n (graph st)
-                  e )
+                let dts =
+                  neighbourhood st ~include_inverse:(Rse.has_inverse e) n
+                in
+                Backtrack.matches_list ~check_ref ~instr:st.back_instr n dts e
+            )
         | Auto | Compiled -> (
             (* Per-label compilation (experiments E4, E9): Auto uses
                the linear counting matcher when the shape is in the
@@ -818,11 +773,7 @@ let check_all st associations =
   result
 
 let validate_graph st =
-  let nodes =
-    match st.columnar with
-    | Some c -> Rdf.Columnar.nodes c
-    | None -> Rdf.Graph.nodes (graph st)
-  in
+  let nodes = Rdf.Graph.nodes st.graph in
   let labels = Schema.labels st.schema in
   let typing =
     List.fold_left

@@ -56,7 +56,6 @@ val session :
   ?domains:int ->
   ?profile:bool ->
   ?slow_ms:float ->
-  ?interned:bool ->
   Schema.t ->
   Rdf.Graph.t ->
   session
@@ -120,45 +119,16 @@ val session :
     Bulk shards ([domains > 1] in {!check_all}) are not individually
     timed.
 
-    [interned] (default [false]) builds the columnar accelerator
-    ({!Rdf.Columnar}) from the graph at session creation: every
-    neighbourhood the matchers consume then comes from binary-searched
-    slices of frozen int columns instead of structural index walks.
-    Canonical interning keeps the slices in exactly {!Triple.compare}
-    order, so verdicts, typings, explanations and report JSON are
-    byte-identical to a structural session (the differential oracle's
-    [interned] arm pins this).  The Backtracking baseline keeps
-    reading the structural view. *)
-
-val session_columnar :
-  ?engine:engine ->
-  ?telemetry:Telemetry.t ->
-  ?domains:int ->
-  ?profile:bool ->
-  ?slow_ms:float ->
-  Schema.t ->
-  Rdf.Columnar.t ->
-  session
-(** A session over an already-frozen columnar store (e.g. straight
-    from the streaming N-Triples bulk loader), skipping the structural
-    graph entirely: the structural view is only materialised if
-    something demands it ({!graph}, the Backtracking engine). *)
+    Every engine, the Backtracking baseline included, consumes the
+    same Σgn: {!Neigh.of_node} on the session's graph, in triple
+    order. *)
 
 val telemetry : session -> Telemetry.t
 val schema : session -> Schema.t
 
 val graph : session -> Rdf.Graph.t
-(** The structural view of the session's data.  On a
-    {!session_columnar} session the first call materialises it from
-    the store (linear time and memory) and caches it. *)
-
-val interned : session -> bool
-(** Whether the session validates against a columnar accelerator. *)
-
-val columnar_store : session -> Rdf.Columnar.t option
-(** The session's frozen columnar store, when interned.  Immutable and
-    safe to share across domains — the parallel bulk runner hands it
-    to its shard sessions directly. *)
+(** The session's data.  Immutable, so the parallel bulk runner hands
+    it to its shard sessions directly. *)
 
 val engine : session -> engine
 val domains : session -> int
@@ -254,9 +224,8 @@ type compiled_matcher =
 (** What a compiled shape can do: decide whether a node's
     already-computed neighbourhood matches, resolving shape references
     through the fixpoint's [check_ref] oracle.  The session computes
-    Σgn once per evaluation — from the structural indexes or a
-    columnar slice — and passes it in, so backends never touch the
-    graph representation. *)
+    Σgn once per evaluation and passes it in, so backends never touch
+    the graph. *)
 
 type compiled_backend = {
   compile_shape : Rse.t -> compiled_matcher;

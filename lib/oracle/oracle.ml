@@ -23,25 +23,17 @@ let reference schema graph assocs =
 (* Engine/domain arms all produce a full report over the same
    association list, so verdicts, blame sets and JSON rendering are
    compared in one shot. *)
-(* Arms are (name, engine, domains, interned).  The interned arms
-   re-run reference engines against the columnar accelerator: any
-   ordering or lookup discrepancy between the int-column slices and
-   the structural indexes shows up as a verdict or report-JSON
-   divergence here. *)
+(* Arms are (name, engine, domains). *)
 let engine_arms () =
-  [ ("backtrack", Shex.Validate.Backtracking, 1, false);
-    ("auto", Shex.Validate.Auto, 1, false);
-    ("interned", Shex.Validate.Derivatives, 1, true);
-    ("interned-auto", Shex.Validate.Auto, 1, true) ]
+  [ ("backtrack", Shex.Validate.Backtracking, 1);
+    ("auto", Shex.Validate.Auto, 1) ]
   @ (if Shex.Validate.compiled_backend_installed () then
-       [ ("compiled", Shex.Validate.Compiled, 1, false);
-         ("interned-compiled", Shex.Validate.Compiled, 1, true) ]
+       [ ("compiled", Shex.Validate.Compiled, 1) ]
      else [])
   @
   if Shex.Validate.bulk_checker_installed () then
-    [ ("domains=2", Shex.Validate.Derivatives, 2, false);
-      ("domains=4", Shex.Validate.Derivatives, 4, false);
-      ("interned-domains=2", Shex.Validate.Derivatives, 2, true) ]
+    [ ("domains=2", Shex.Validate.Derivatives, 2);
+      ("domains=4", Shex.Validate.Derivatives, 4) ]
   else []
 
 let compare_full ~arm ~ref_oks ~ref_json assocs (oks, json) =
@@ -123,7 +115,7 @@ let sparql_arm schema graph assocs ref_oks =
         match List.assoc_opt l compiled with
         | None -> first_mismatch assocs' oks'
         | Some nodes ->
-            if Rdf.Graph.is_empty (Rdf.Graph.neighbourhood n graph) then
+            if Rdf.Graph.out_triples n graph = [] then
               first_mismatch assocs' oks'
             else
               let sparql_ok = List.exists (Rdf.Term.equal n) nodes in
@@ -161,10 +153,8 @@ let divergences schema graph assocs =
   let ref_oks, ref_json, ref_typing = reference schema graph assocs in
   let engine_findings =
     List.filter_map
-      (fun (arm, engine, domains, interned) ->
-        let session =
-          Shex.Validate.session ~engine ~domains ~interned schema graph
-        in
+      (fun (arm, engine, domains) ->
+        let session = Shex.Validate.session ~engine ~domains schema graph in
         let report = Shex.Report.run session assocs in
         let oks =
           List.map
@@ -848,8 +838,7 @@ let run_containment_campaign ?(log = fun _ -> ()) ?(max_states = 2_000)
     findings = List.rev !findings }
 
 (* Optimizer arm: the pre-validation optimizer must not change the
-   validation report — same verdicts, same blame sets — on either the
-   structural or the interned session path.  The comparison is
+   validation report — same verdicts, same blame sets.  The comparison is
    byte-level after one normalisation: the [explain]/[reason] blame
    payload is a rendering of the expression under test — a rewritten
    expression prints different residuals, and pruning a provably-empty
@@ -879,26 +868,22 @@ let run_optimizer_campaign ?(log = fun _ -> ()) ?(mode = Workload.Rand_gen.Surfa
     let case = Workload.Rand_gen.case ~mode seed in
     let opt, changed = Analysis.optimize_stats case.schema in
     if changed > 0 then incr rewritten;
-    List.iter
-      (fun (arm, interned) ->
-        let report schema =
-          let session = Shex.Validate.session ~interned schema case.graph in
-          Json.to_string ~minify:true
-            (blank_residuals
-               (Shex.Report.to_json (Shex.Report.run session case.associations)))
-        in
-        let j1 = report case.schema and j2 = report opt in
-        if j1 <> j2 then begin
-          let detail =
-            Printf.sprintf
-              "optimizer changed the %s report on seed %d (schemas must \
-               validate identically)"
-              arm seed
-          in
-          log detail;
-          findings := { Analysis_arm.seed; detail } :: !findings
-        end)
-      [ ("structural", false); ("interned", true) ]
+    let report schema =
+      let session = Shex.Validate.session schema case.graph in
+      Json.to_string ~minify:true
+        (blank_residuals
+           (Shex.Report.to_json (Shex.Report.run session case.associations)))
+    in
+    if report case.schema <> report opt then begin
+      let detail =
+        Printf.sprintf
+          "optimizer changed the report on seed %d (schemas must validate \
+           identically)"
+          seed
+      in
+      log detail;
+      findings := { Analysis_arm.seed; detail } :: !findings
+    end
   done;
   { Analysis_arm.seeds_run = count;
     rewritten = !rewritten;

@@ -210,8 +210,7 @@ val run_optimizer_campaign :
   Analysis_arm.optimizer_summary
 (** For each seed: report JSON over the generated associations must be
     byte-identical (modulo blanked blame payloads, see above) between
-    the original and the optimised schema, on both the structural and
-    interned session paths. *)
+    the original and the optimised schema. *)
 
 val run_edits_campaign :
   ?dir:string ->

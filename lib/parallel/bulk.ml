@@ -40,14 +40,9 @@ let check_bulk session associations =
   let n = min (Shex.Validate.domains session) (List.length associations) in
   let engine = Shex.Validate.engine session in
   let schema = Shex.Validate.schema session in
-  (* Interned sessions hand their frozen columnar store to every
-     shard directly — it is immutable (sorted int arrays plus a
-     read-only id table), so sharing it across domains is safe and
-     skips materialising a structural graph per bulk call. *)
-  let store = Shex.Validate.columnar_store session in
-  let graph =
-    match store with Some _ -> None | None -> Some (Shex.Validate.graph session)
-  in
+  (* The graph is immutable (a frozen run under a persistent delta),
+     so every shard reads it directly. *)
+  let graph = Shex.Validate.graph session in
   let parent_tele = Shex.Validate.telemetry session in
   let instrumented = Telemetry.enabled parent_tele in
   let profile = Shex.Validate.profiling session in
@@ -58,13 +53,7 @@ let check_bulk session associations =
           if instrumented then Telemetry.create () else Telemetry.disabled
         in
         let sub =
-          match store with
-          | Some c ->
-              Shex.Validate.session_columnar ~engine ~telemetry ~profile
-                schema c
-          | None ->
-              Shex.Validate.session ~engine ~telemetry ~profile schema
-                (Option.get graph)
+          Shex.Validate.session ~engine ~telemetry ~profile schema graph
         in
         let outcomes =
           List.map

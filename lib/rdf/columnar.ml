@@ -24,8 +24,10 @@ type builder = {
   mutable blen : int;
 }
 
-let builder ?(terms = 1024) ?(triples = 4096) () =
-  let triples = max 16 triples in
+(* Builders start small and double: a one-triple Turtle snippet pays
+   for three 4-slot columns, not for a bulk load's capacity. *)
+let builder ?(terms = 16) ?(triples = 4) () =
+  let triples = max 4 triples in
   { interner = Interner.create ~capacity:terms ();
     bs = Array.make triples 0;
     bp = Array.make triples 0;
@@ -62,110 +64,74 @@ let add_triple b tr =
 
 let triples_added b = b.blen
 
-(* Sort row indexes by a (row -> key triple) projection. *)
-let sort_rows rows k1 k2 k3 =
-  Array.sort
-    (fun a b ->
-      let c = Int.compare (k1 a) (k1 b) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (k2 a) (k2 b) in
-        if c <> 0 then c else Int.compare (k3 a) (k3 b))
-    rows
+let builder_triples b =
+  let term id = Interner.resolve b.interner id in
+  List.init b.blen (fun i ->
+      match term b.bp.(i) with
+      | Term.Iri p -> Triple.make (term b.bs.(i)) p (term b.bo.(i))
+      | Term.Bnode _ | Term.Literal _ -> assert false)
 
 (* Below 2^20 distinct terms, a whole (x, y, z) id triple packs into
-   one 63-bit int, turning the freeze sorts into flat int-array sorts —
-   no closure dispatch, no second/third key probes, and adjacent-dedup
-   is [<>] on ints.  Each id gets 21 bits, but the high id starts at
-   bit 42, so its top bit would be the sign bit: an id of 2^20 or more
-   makes the key negative and sorts its row first.  Hence the bound is
-   one bit short of the field width.  The generic 3-key path stays as
-   the fallback past it. *)
+   one 63-bit int, turning the freeze sorts into flat int comparisons —
+   no second/third key probes.  Each id gets 21 bits, but the high id
+   starts at bit 42, so its top bit would be the sign bit: an id of
+   2^20 or more makes the key negative and sorts its row first.  Hence
+   the bound is one bit short of the field width.  Past it, the sorts
+   compare the three keys in turn. *)
 let pack_bits = 21
 let packable ids = Interner.cardinal ids < 1 lsl (pack_bits - 1)
-
 let pack x y z = (((x lsl pack_bits) lor y) lsl pack_bits) lor z
-let unpack_hi k = k lsr (2 * pack_bits)
-let unpack_mid k = (k lsr pack_bits) land ((1 lsl pack_bits) - 1)
-let unpack_lo k = k land ((1 lsl pack_bits) - 1)
 
-let freeze_packed ids remap b =
-  let raw = b.blen in
-  let keys =
-    Array.init raw (fun i ->
-        pack remap.(b.bs.(i)) remap.(b.bp.(i)) remap.(b.bo.(i)))
-  in
-  Array.sort Int.compare keys;
-  let n = ref 0 in
-  Array.iteri
-    (fun i k ->
-      if i = 0 || keys.(!n - 1) <> k then begin
-        keys.(!n) <- k;
-        incr n
-      end)
-    keys;
-  let n = !n in
-  let spo_s = Array.init n (fun i -> unpack_hi keys.(i))
-  and spo_p = Array.init n (fun i -> unpack_mid keys.(i))
-  and spo_o = Array.init n (fun i -> unpack_lo keys.(i)) in
-  (* Permutation sorts on one precomputed packed key per row. *)
-  let perm kx ky kz =
-    let key = Array.init n (fun r -> pack (kx r) (ky r) (kz r)) in
-    let rows = Array.init n Fun.id in
-    Array.sort (fun a b -> Int.compare key.(a) key.(b)) rows;
-    rows
-  in
-  let pos_row =
-    perm (fun r -> spo_p.(r)) (fun r -> spo_s.(r)) (fun r -> spo_o.(r))
-  in
-  let osp_row =
-    perm (fun r -> spo_o.(r)) (fun r -> spo_s.(r)) (fun r -> spo_p.(r))
-  in
-  { ids; n; spo_s; spo_p; spo_o; pos_row; osp_row }
+(* Row indexes [0, n) sorted by their (k1, k2, k3) keys. *)
+let sort_rows ~packed n k1 k2 k3 =
+  let rows = Array.init n Fun.id in
+  (if packed then
+     let key = Array.init n (fun r -> pack (k1 r) (k2 r) (k3 r)) in
+     Array.sort (fun a b -> Int.compare key.(a) key.(b)) rows
+   else
+     Array.sort
+       (fun a b ->
+         let c = Int.compare (k1 a) (k1 b) in
+         if c <> 0 then c
+         else
+           let c = Int.compare (k2 a) (k2 b) in
+           if c <> 0 then c else Int.compare (k3 a) (k3 b))
+       rows);
+  rows
 
 let freeze b =
   let ids, remap = Interner.compact b.interner in
-  if packable ids then freeze_packed ids remap b
-  else begin
-    let raw = b.blen in
-    let rs = Array.init raw (fun i -> remap.(b.bs.(i)))
-    and rp = Array.init raw (fun i -> remap.(b.bp.(i)))
-    and ro = Array.init raw (fun i -> remap.(b.bo.(i))) in
-    let rows = Array.init raw Fun.id in
-    sort_rows rows
-      (fun r -> rs.(r))
-      (fun r -> rp.(r))
-      (fun r -> ro.(r));
-    (* Dedup adjacent equal rows while materialising the final columns —
-       a graph is a set of triples, whatever the loader fed us. *)
-    let n = ref 0 in
-    Array.iteri
-      (fun i r ->
-        if
-          i = 0
-          ||
-          let q = rows.(i - 1) in
-          rs.(q) <> rs.(r) || rp.(q) <> rp.(r) || ro.(q) <> ro.(r)
-        then begin
-          rows.(!n) <- r;
-          incr n
-        end)
-      (Array.copy rows);
-    let n = !n in
-    let spo_s = Array.init n (fun i -> rs.(rows.(i)))
-    and spo_p = Array.init n (fun i -> rp.(rows.(i)))
-    and spo_o = Array.init n (fun i -> ro.(rows.(i))) in
-    let pos_row = Array.init n Fun.id and osp_row = Array.init n Fun.id in
-    sort_rows pos_row
-      (fun r -> spo_p.(r))
-      (fun r -> spo_s.(r))
-      (fun r -> spo_o.(r));
-    sort_rows osp_row
-      (fun r -> spo_o.(r))
-      (fun r -> spo_s.(r))
-      (fun r -> spo_p.(r));
-    { ids; n; spo_s; spo_p; spo_o; pos_row; osp_row }
-  end
+  let packed = packable ids in
+  let column c = Array.init b.blen (fun i -> remap.(c.(i))) in
+  let rs = column b.bs and rp = column b.bp and ro = column b.bo in
+  let sorted =
+    sort_rows ~packed b.blen (Array.get rs) (Array.get rp) (Array.get ro)
+  in
+  (* Keep the first of each run of equal rows — a graph is a set of
+     triples, whatever the loader fed us. *)
+  let rows = Array.make b.blen 0 and n = ref 0 in
+  Array.iteri
+    (fun i r ->
+      let q = sorted.(max 0 (i - 1)) in
+      if i = 0 || rs.(q) <> rs.(r) || rp.(q) <> rp.(r) || ro.(q) <> ro.(r)
+      then begin
+        rows.(!n) <- r;
+        incr n
+      end)
+    sorted;
+  let n = !n in
+  let spo c = Array.init n (fun i -> c.(rows.(i))) in
+  let spo_s = spo rs and spo_p = spo rp and spo_o = spo ro in
+  let pos_row =
+    sort_rows ~packed n (Array.get spo_p) (Array.get spo_s) (Array.get spo_o)
+  and osp_row =
+    sort_rows ~packed n (Array.get spo_o) (Array.get spo_s) (Array.get spo_p)
+  in
+  { ids; n; spo_s; spo_p; spo_o; pos_row; osp_row }
+
+let empty =
+  { ids = Interner.create (); n = 0; spo_s = [||]; spo_p = [||];
+    spo_o = [||]; pos_row = [||]; osp_row = [||] }
 
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
@@ -173,9 +139,7 @@ let freeze b =
 
 let cardinal t = t.n
 let terms_cardinal t = Interner.cardinal t.ids
-let interner t = t.ids
 let id t term = Interner.find t.ids term
-let term t id = Interner.resolve t.ids id
 
 let pred_of t id =
   match Interner.resolve t.ids id with
@@ -228,6 +192,26 @@ let in_slice t term =
   match id t term with
   | None -> (0, 0)
   | Some oid -> slice (fun i -> t.spo_o.(t.osp_row.(i))) t.n oid
+
+(* The subject's slice, then a binary search on (p, o) inside it —
+   the slice is (p, o)-sorted. *)
+let mem t tr =
+  match
+    ( id t (Triple.subject tr),
+      id t (Term.Iri (Triple.predicate tr)),
+      id t (Triple.obj tr) )
+  with
+  | Some s, Some p, Some o ->
+      let lo, hi = slice (fun i -> t.spo_s.(i)) t.n s in
+      let lo = ref lo and hi = ref hi in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        let c = Int.compare t.spo_p.(mid) p in
+        let c = if c <> 0 then c else Int.compare t.spo_o.(mid) o in
+        if c < 0 then lo := mid + 1 else hi := mid
+      done;
+      !lo < t.n && t.spo_s.(!lo) = s && t.spo_p.(!lo) = p && t.spo_o.(!lo) = o
+  | _ -> false
 
 let out_triples t term =
   let lo, hi = out_slice t term in
@@ -289,11 +273,56 @@ let fold f t acc =
   done;
   !acc
 
-let of_graph g =
-  let b =
-    builder ~terms:(2 * Graph.cardinal g) ~triples:(Graph.cardinal g) ()
-  in
-  Graph.iter (add_triple b) g;
-  freeze b
+let to_seq t = Seq.init t.n (triple_of t)
 
-let to_graph t = Graph.of_seq (Seq.init t.n (fun row -> triple_of t row))
+(* ------------------------------------------------------------------ *)
+(* Invariants                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let check t =
+  let terms = Interner.cardinal t.ids in
+  let column col =
+    Array.length col = t.n && Array.for_all (fun id -> 0 <= id && id < terms) col
+  in
+  let bijection perm =
+    let seen = Array.make t.n false in
+    Array.length perm = t.n
+    && Array.for_all
+         (fun r -> 0 <= r && r < t.n && (not seen.(r)) && (seen.(r) <- true; true))
+         perm
+  in
+  (* Rows in [perm] order have strictly ascending (a, b, c) keys:
+     sorted, and no triple twice. *)
+  let ascending perm a b c =
+    let key i = (a.(perm i), b.(perm i), c.(perm i)) in
+    let rec go i = i >= t.n || (compare (key (i - 1)) (key i) < 0 && go (i + 1)) in
+    go 1
+  in
+  let rec distinct = function
+    | a :: (b :: _ as rest) -> Term.compare a b < 0 && distinct rest
+    | [ _ ] | [] -> true
+  in
+  let degrees degree =
+    List.fold_left (fun acc n -> acc + degree t n) 0 (nodes t) = t.n
+  in
+  let checks =
+    [ ("ids are not in term order", fun () -> Interner.sorted t.ids);
+      ( "a column has a stray length or id",
+        fun () -> column t.spo_s && column t.spo_p && column t.spo_o );
+      ( "SPO rows are not strictly ascending",
+        fun () -> ascending Fun.id t.spo_s t.spo_p t.spo_o );
+      ( "POS is not a sorted bijection",
+        fun () ->
+          bijection t.pos_row
+          && ascending (Array.get t.pos_row) t.spo_p t.spo_s t.spo_o );
+      ( "OSP is not a sorted bijection",
+        fun () ->
+          bijection t.osp_row
+          && ascending (Array.get t.osp_row) t.spo_o t.spo_s t.spo_p );
+      ("nodes are not distinct", fun () -> distinct (nodes t));
+      ( "degrees do not sum to the cardinality",
+        fun () -> degrees out_degree && degrees in_degree ) ]
+  in
+  match List.find_opt (fun (_, ok) -> not (ok ())) checks with
+  | None -> Ok ()
+  | Some (msg, _) -> Error msg

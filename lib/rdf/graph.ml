@@ -1,169 +1,219 @@
+(* A graph is a frozen columnar run plus a persistent edit delta:
+   [plus] holds triples the run lacks, [minus] tombstones triples of
+   the run.  Invariants: [plus] ∩ base = ∅, [minus] ⊆ base, and the
+   delta stays within {!overfull}'s budget — an edit that would break
+   it folds everything into a fresh run instead. *)
+
+(* The delta's triples again, ordered by object first: the incoming
+   slice of a node is then one contiguous range, like an OSP run. *)
+module By_object = Set.Make (struct
+  type t = Triple.t
+
+  let compare a b =
+    let c = Term.compare (Triple.obj a) (Triple.obj b) in
+    if c <> 0 then c else Triple.compare a b
+end)
+
 type t = {
-  triples : Triple.Set.t;
-  by_subject : Triple.Set.t Term.Map.t;
-  by_object : Triple.Set.t Term.Map.t;
+  base : Columnar.t;
+  plus : Triple.Set.t;
+  plus_in : By_object.t;  (* [plus], object-ordered *)
+  minus : Triple.Set.t;
+  added : int;  (* |plus| *)
+  removed : int;  (* |minus| *)
 }
 
 let empty =
-  { triples = Triple.Set.empty;
-    by_subject = Term.Map.empty;
-    by_object = Term.Map.empty }
+  { base = Columnar.empty; plus = Triple.Set.empty;
+    plus_in = By_object.empty; minus = Triple.Set.empty; added = 0;
+    removed = 0 }
 
-let is_empty g = Triple.Set.is_empty g.triples
-let cardinal g = Triple.Set.cardinal g.triples
-let mem tr g = Triple.Set.mem tr g.triples
+let of_base base = { empty with base }
+let base g = g.base
+let cardinal g = Columnar.cardinal g.base - g.removed + g.added
+let is_empty g = cardinal g = 0
 
-let index_add key tr index =
-  Term.Map.update key
-    (function
-      | None -> Some (Triple.Set.singleton tr)
-      | Some set -> Some (Triple.Set.add tr set))
-    index
+(* The one compaction rule: a delta may grow to an eighth of the run
+   plus a fixed slack of 32 edits.  Folding it in costs a rebuild of
+   the run, which at most every n/8 edits is amortised O(log n) per
+   edit; the slack keeps graphs of a few dozen triples (snippets,
+   shapes' examples, decompositions) purely in the delta, never
+   frozen. *)
+let overfull ~base ~delta = 8 * delta > base + 256
 
-let index_remove key tr index =
-  Term.Map.update key
-    (function
-      | None -> None
-      | Some set ->
-          let set = Triple.Set.remove tr set in
-          if Triple.Set.is_empty set then None else Some set)
-    index
+(* Reads merge the run with the delta.  Both sides are in
+   [Triple.compare] order and disjoint, so slices and whole-graph
+   iteration come back in exactly the order of a sorted triple set. *)
+let live g tr = g.removed = 0 || not (Triple.Set.mem tr g.minus)
+
+let rec merge_seq a b () =
+  match (a (), b ()) with
+  | Seq.Nil, rest | rest, Seq.Nil -> rest
+  | (Seq.Cons (x, a') as l), (Seq.Cons (y, b') as r) ->
+      if Triple.compare x y <= 0 then Seq.Cons (x, merge_seq a' (fun () -> r))
+      else Seq.Cons (y, merge_seq (fun () -> l) b')
+
+let to_seq g =
+  let run = Columnar.to_seq g.base in
+  let run = if g.removed = 0 then run else Seq.filter (live g) run in
+  if g.added = 0 then run else merge_seq run (Triple.Set.to_seq g.plus)
+
+let frozen g = g.added = 0 && g.removed = 0
+
+let fold f g acc =
+  if frozen g then Columnar.fold f g.base acc
+  else Seq.fold_left (fun acc tr -> f tr acc) acc (to_seq g)
+
+let iter f g = if frozen g then Columnar.iter f g.base else Seq.iter f (to_seq g)
+let to_list g =
+  if Columnar.cardinal g.base = 0 then Triple.Set.elements g.plus
+  else List.rev (fold List.cons g [])
+let for_all f g = Seq.for_all f (to_seq g)
+let exists f g = Seq.exists f (to_seq g)
+
+let mem tr g =
+  Triple.Set.mem tr g.plus || (live g tr && Columnar.mem g.base tr)
+
+(* Rebuild the run from the merged view; the delta empties. *)
+let compact g =
+  let b = Columnar.builder ~terms:(cardinal g) ~triples:(cardinal g) () in
+  iter (Columnar.add_triple b) g;
+  of_base (Columnar.freeze b)
+
+let settle g =
+  if overfull ~base:(Columnar.cardinal g.base) ~delta:(g.added + g.removed)
+  then compact g
+  else g
 
 let add tr g =
-  if mem tr g then g
+  if Triple.Set.mem tr g.plus then g
+  else if Columnar.mem g.base tr then
+    if Triple.Set.mem tr g.minus then
+      { g with minus = Triple.Set.remove tr g.minus; removed = g.removed - 1 }
+    else g
   else
-    { triples = Triple.Set.add tr g.triples;
-      by_subject = index_add (Triple.subject tr) tr g.by_subject;
-      by_object = index_add (Triple.obj tr) tr g.by_object }
+    settle
+      { g with
+        plus = Triple.Set.add tr g.plus;
+        plus_in = By_object.add tr g.plus_in;
+        added = g.added + 1 }
 
 let remove tr g =
-  if not (mem tr g) then g
-  else
-    { triples = Triple.Set.remove tr g.triples;
-      by_subject = index_remove (Triple.subject tr) tr g.by_subject;
-      by_object = index_remove (Triple.obj tr) tr g.by_object }
+  if Triple.Set.mem tr g.plus then
+    { g with
+      plus = Triple.Set.remove tr g.plus;
+      plus_in = By_object.remove tr g.plus_in;
+      added = g.added - 1 }
+  else if Columnar.mem g.base tr && not (Triple.Set.mem tr g.minus) then
+    settle
+      { g with minus = Triple.Set.add tr g.minus; removed = g.removed + 1 }
+  else g
 
 let singleton tr = add tr empty
-let to_list g = Triple.Set.elements g.triples
-let to_set g = g.triples
 
-(* Bulk (re)indexing: build both secondary indexes in one ordered pass
-   over an already-constructed triple set, instead of one [add] — two
-   O(log n) map updates plus set rebalancing — per triple.  The
-   subject index falls out of set order directly (runs of equal
-   subjects are contiguous, and each run is already sorted); the
-   object index needs one auxiliary sort. *)
-let of_set set =
-  if Triple.Set.is_empty set then empty
-  else begin
-    let n = Triple.Set.cardinal set in
-    let arr = Array.make n (Triple.Set.min_elt set) in
-    let i = ref 0 in
-    Triple.Set.iter
-      (fun tr ->
-        arr.(!i) <- tr;
-        incr i)
-      set;
-    (* Group a key-sorted array into key -> set-of-run.  Keys arrive in
-       ascending order, and each run is itself Triple.compare-sorted,
-       so both the map and the per-key sets build without churn. *)
-    let group key arr =
-      let m = ref Term.Map.empty in
-      let start = ref 0 in
-      for j = 1 to n do
-        if j = n || not (Term.equal (key arr.(j)) (key arr.(!start))) then begin
-          let run = ref Triple.Set.empty in
-          for k = j - 1 downto !start do
-            run := Triple.Set.add arr.(k) !run
-          done;
-          m := Term.Map.add (key arr.(!start)) !run !m;
-          start := j
-        end
-      done;
-      !m
-    in
-    (* [arr] is in set (SPO) order already: subject runs are contiguous. *)
-    let by_subject = group Triple.subject arr in
-    let arr_o = Array.copy arr in
-    Array.sort
-      (fun a b ->
-        let c = Term.compare (Triple.obj a) (Triple.obj b) in
-        if c <> 0 then c else Triple.compare a b)
-      arr_o;
-    let by_object = group Triple.obj arr_o in
-    { triples = set; by_subject; by_object }
-  end
+(* Bulk construction ends in the state the compaction rule allows:
+   a handful of triples stays in the delta, anything larger is one
+   frozen run. *)
+let of_delta trs =
+  let plus = Triple.Set.of_list trs in
+  { empty with
+    plus;
+    plus_in = By_object.of_list trs;
+    added = Triple.Set.cardinal plus }
 
-let of_list trs = of_set (Triple.Set.of_list trs)
-let of_seq seq = of_set (Triple.Set.of_seq seq)
+let freeze b =
+  if overfull ~base:0 ~delta:(Columnar.triples_added b) then
+    of_base (Columnar.freeze b)
+  else of_delta (Columnar.builder_triples b)
 
-(* Set operations route through {!of_set} — one bulk reindex of the
-   result — unless one side is a small delta of the other, where
-   incremental index edits win.  The oracle shrinker and the workload
-   generator hit these on every candidate graph. *)
+let of_seq seq =
+  let b = Columnar.builder () in
+  Seq.iter (Columnar.add_triple b) seq;
+  freeze b
+
+let of_list trs =
+  if overfull ~base:0 ~delta:(List.length trs) then of_seq (List.to_seq trs)
+  else of_delta trs
+
+(* Set operations keep today's split: when one side is a small delta
+   of the other, edit the larger graph; otherwise build once. *)
 let small_delta d g = 8 * cardinal d <= cardinal g
+
+let filter f g = of_seq (Seq.filter f (to_seq g))
 
 let union g1 g2 =
   let small, large = if cardinal g1 >= cardinal g2 then (g2, g1) else (g1, g2) in
-  if small_delta small large then Triple.Set.fold add small.triples large
-  else of_set (Triple.Set.union g1.triples g2.triples)
+  if small_delta small large then fold add small large
+  else of_seq (Seq.append (to_seq g1) (to_seq g2))
 
 let diff g1 g2 =
-  if small_delta g2 g1 then Triple.Set.fold remove g2.triples g1
-  else of_set (Triple.Set.diff g1.triples g2.triples)
+  if small_delta g2 g1 then fold remove g2 g1
+  else filter (fun tr -> not (mem tr g2)) g1
 
-let inter g1 g2 = of_set (Triple.Set.inter g1.triples g2.triples)
+let inter g1 g2 = filter (fun tr -> mem tr g2) g1
 
-let subset g1 g2 = Triple.Set.subset g1.triples g2.triples
-let equal g1 g2 = Triple.Set.equal g1.triples g2.triples
-let fold f g acc = Triple.Set.fold f g.triples acc
-let iter f g = Triple.Set.iter f g.triples
-let for_all f g = Triple.Set.for_all f g.triples
-let exists f g = Triple.Set.exists f g.triples
+let subset g1 g2 = cardinal g1 <= cardinal g2 && for_all (fun tr -> mem tr g2) g1
 
-let filter f g = of_set (Triple.Set.filter f g.triples)
+let equal g1 g2 =
+  cardinal g1 = cardinal g2 && Seq.equal Triple.equal (to_seq g1) (to_seq g2)
 
-let choose_opt g = Triple.Set.min_elt_opt g.triples
+(* The delta's part of a slice: the contiguous range of [set] whose
+   [key] is [n], found by a monotone search. *)
+let range ~find_first ~to_seq_from ~key n set =
+  match find_first (fun tr -> Term.compare (key tr) n >= 0) set with
+  | None -> Seq.empty
+  | Some first ->
+      Seq.take_while (fun tr -> Term.equal (key tr) n) (to_seq_from first set)
 
-let index_find key index =
-  match Term.Map.find_opt key index with
-  | None -> Triple.Set.empty
-  | Some set -> set
+let slice g run added =
+  let run = if g.removed = 0 then run else List.filter (live g) run in
+  if g.added = 0 then run else List.of_seq (merge_seq (List.to_seq run) (added ()))
 
-let neighbourhood n g = of_set (index_find n g.by_subject)
-let triples_with_object o g = of_set (index_find o g.by_object)
+let out_triples n g =
+  slice g (Columnar.out_triples g.base n) (fun () ->
+      range ~find_first:Triple.Set.find_first_opt
+        ~to_seq_from:Triple.Set.to_seq_from ~key:Triple.subject n g.plus)
+
+let in_triples n g =
+  slice g (Columnar.in_triples g.base n) (fun () ->
+      range ~find_first:By_object.find_first_opt
+        ~to_seq_from:By_object.to_seq_from ~key:Triple.obj n g.plus_in)
 
 let objects_of s p g =
-  index_find s g.by_subject
-  |> Triple.Set.elements
-  |> List.filter_map (fun tr ->
-         if Iri.equal (Triple.predicate tr) p then Some (Triple.obj tr)
-         else None)
+  List.filter_map
+    (fun tr ->
+      if Iri.equal (Triple.predicate tr) p then Some (Triple.obj tr) else None)
+    (out_triples s g)
 
 let subjects g =
-  Term.Map.fold (fun s _ acc -> s :: acc) g.by_subject [] |> List.rev
+  fold
+    (fun tr acc ->
+      match acc with
+      | s :: _ when Term.equal s (Triple.subject tr) -> acc
+      | _ -> Triple.subject tr :: acc)
+    g []
+  |> List.rev
 
 let predicates g =
   let module Iri_set = Set.Make (Iri) in
-  Triple.Set.fold
-    (fun tr acc -> Iri_set.add (Triple.predicate tr) acc)
-    g.triples Iri_set.empty
+  fold (fun tr acc -> Iri_set.add (Triple.predicate tr) acc) g Iri_set.empty
   |> Iri_set.elements
 
 let nodes g =
-  let add_node t acc = Term.Set.add t acc in
-  Triple.Set.fold
-    (fun tr acc ->
-      acc |> add_node (Triple.subject tr) |> add_node (Triple.obj tr))
-    g.triples Term.Set.empty
-  |> Term.Set.elements
+  if frozen g then Columnar.nodes g.base
+  else
+    fold
+      (fun tr acc ->
+        Term.Set.add (Triple.subject tr) (Term.Set.add (Triple.obj tr) acc))
+      g Term.Set.empty
+    |> Term.Set.elements
 
 let match_pattern ?s ?p ?o g =
   let candidates =
     match (s, o) with
-    | Some s, _ -> index_find s g.by_subject
-    | None, Some o -> index_find o g.by_object
-    | None, None -> g.triples
+    | Some s, _ -> out_triples s g
+    | None, Some o -> in_triples o g
+    | None, None -> to_list g
   in
   let keep tr =
     (match s with None -> true | Some s -> Term.equal (Triple.subject tr) s)
@@ -172,7 +222,7 @@ let match_pattern ?s ?p ?o g =
        | Some p -> Iri.equal (Triple.predicate tr) p)
     && match o with None -> true | Some o -> Term.equal (Triple.obj tr) o
   in
-  Triple.Set.elements (Triple.Set.filter keep candidates)
+  List.filter keep candidates
 
 let decompositions g =
   (* Example 3: pair every subset with its complement, ({}, g) first.

@@ -13,19 +13,21 @@ let cardinal t = t.len
 let grow t =
   let cap = Array.length t.terms in
   if t.len >= cap then begin
-    let cap' = max 16 (2 * cap) in
+    let cap' = max 4 (2 * cap) in
     (* The filler is only a placeholder; slots ≥ len are never read. *)
     let fresh = Array.make cap' t.terms.(0) in
     Array.blit t.terms 0 fresh 0 t.len;
     t.terms <- fresh
   end
 
+(* [find], not [find_opt]: a hit — most terms of a bulk load — then
+   allocates nothing. *)
 let intern t term =
-  match Hashtbl.find_opt t.ids term with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.ids term with
+  | id -> id
+  | exception Not_found ->
       let id = t.len in
-      if id = 0 then t.terms <- Array.make 16 term else grow t;
+      if id = 0 then t.terms <- Array.make 4 term else grow t;
       t.terms.(id) <- term;
       t.len <- id + 1;
       Hashtbl.replace t.ids term id;
@@ -55,10 +57,11 @@ let compact t =
   let order = Array.init n Fun.id in
   Array.sort (fun a b -> Term.compare t.terms.(a) t.terms.(b)) order;
   let remap = Array.make n 0 in
-  let compacted = create ~capacity:(2 * n) () in
+  let terms = Array.map (fun old_id -> t.terms.(old_id)) order in
+  let ids = Hashtbl.create (2 * n) in
   Array.iteri
     (fun new_id old_id ->
       remap.(old_id) <- new_id;
-      ignore (intern compacted t.terms.(old_id)))
+      Hashtbl.add ids terms.(new_id) new_id)
     order;
-  (compacted, remap)
+  ({ terms; len = n; ids }, remap)

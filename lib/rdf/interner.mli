@@ -3,17 +3,16 @@
     An interner assigns consecutive small ints to distinct terms —
     IRIs, blank nodes and literals share one id space — and keeps the
     reverse table so reports and explanations can always recover the
-    structural term.  Identity is {!Term.equal}: two blank nodes
-    intern to the same id iff their labels agree (scoping is the
-    caller's concern, exactly as for structural graphs), and a blank
-    node never shares an id with an IRI or literal of the same
-    spelling.
+    term.  Identity is {!Term.equal}: two blank nodes intern to the
+    same id iff their labels agree (scoping is the caller's concern),
+    and a blank node never shares an id with an IRI or literal of the
+    same spelling.
 
     {!compact} re-assigns ids in {!Term.compare} order.  A compacted
     interner has the property that {e int order is term order}, which
     is what lets the columnar store ({!Columnar}) binary-search sorted
-    int columns and still hand triples back in the exact order the
-    structural indexes produce them. *)
+    int columns and still hand triples back in {!Triple.compare}
+    order. *)
 
 type t
 

@@ -81,19 +81,26 @@ let peek_at st i =
 let peek st = peek_at st 0
 let peek2 st = peek_at st 1
 
+(* Reads the window directly rather than through [peek]: a [Some c]
+   per consumed byte was most of a short snippet's allocation. *)
 let advance st =
-  (match peek st with
-  | Some '\n' ->
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some '\r' when peek2 st <> Some '\n' ->
-      (* A bare CR is a line ending of its own (classic-Mac or
-         mixed-EOL input); in a CRLF pair only the LF counts. *)
-      st.line <- st.line + 1;
-      st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
-  if st.pos < st.len then st.pos <- st.pos + 1
+  ensure st 1;
+  if st.pos < st.len then begin
+    (match Bytes.get st.buf st.pos with
+    | '\n' ->
+        st.line <- st.line + 1;
+        st.col <- 1
+    | '\r'
+      when (ensure st 2;
+            not (st.pos + 1 < st.len && Bytes.get st.buf (st.pos + 1) = '\n'))
+      ->
+        (* A bare CR is a line ending of its own (classic-Mac or
+           mixed-EOL input); in a CRLF pair only the LF counts. *)
+        st.line <- st.line + 1;
+        st.col <- 1
+    | _ -> st.col <- st.col + 1);
+    st.pos <- st.pos + 1
+  end
 
 let error st msg = raise (Error (msg, st.line, st.col))
 

@@ -139,12 +139,8 @@ let fold_file path f init =
 
 let load_file path =
   let b = Rdf.Columnar.builder () in
-  match
-    fold_file path
-      (fun () tr -> Rdf.Columnar.add_triple b tr)
-      ()
-  with
-  | Ok () -> Ok (Rdf.Columnar.freeze b)
+  match fold_file path (fun () tr -> Rdf.Columnar.add_triple b tr) () with
+  | Ok () -> Ok (Rdf.Graph.freeze b)
   | Error _ as e -> e
 
 let escape_string = Escape.string_body

@@ -24,10 +24,11 @@ val fold_file : string -> ('a -> Rdf.Triple.t -> 'a) -> 'a -> ('a, string) resul
 (** {!fold_stream} over a file, opened with a sliding-window lexer:
     peak memory is the fold's own state plus one 64 KiB window. *)
 
-val load_file : string -> (Rdf.Columnar.t, string) result
-(** Bulk-load a file straight into a columnar store: every term is
-    interned as it is read and only int columns accumulate — the
-    raw-speed path for graphs that dwarf structural loading. *)
+val load_file : string -> (Rdf.Graph.t, string) result
+(** Bulk-load a file with the strict N-Triples reader: every term is
+    interned as it is read, only int columns accumulate, and the graph
+    is one frozen run — the same store {!Parse.parse_file} builds,
+    without the general Turtle grammar. *)
 
 val to_string : Rdf.Graph.t -> string
 (** Canonical N-Triples: one triple per line in triple order, absolute

@@ -8,14 +8,16 @@ exception Parse_error of string * int * int
 
 (* The parser pulls tokens lazily (one-token lookahead, which the
    grammar below never exceeds), so parsing a channel-backed stream
-   holds one token plus the graph being built — never the source text
-   or the token list. *)
+   holds one token plus the triples being collected — never the
+   source text or the token list.  Triples go straight into a columnar
+   builder (terms interned as they arrive) and freeze into the graph
+   at the end. *)
 type state = {
   next : unit -> Lexer.located;
   mutable cur : Lexer.located;
   mutable namespaces : Rdf.Namespace.t;
   mutable base : Rdf.Iri.t option;
-  mutable graph : Rdf.Graph.t;
+  triples : Rdf.Columnar.builder;
   mutable bnode_counter : int;
 }
 
@@ -35,9 +37,8 @@ let fresh_bnode st =
   Rdf.Term.Bnode (Rdf.Bnode.of_string (Printf.sprintf "tb%d" n))
 
 let emit st s p o =
-  match Rdf.Triple.make_opt s p o with
-  | Some tr -> st.graph <- Rdf.Graph.add tr st.graph
-  | None -> error st "literal in subject position"
+  if Rdf.Term.subject_ok s then Rdf.Columnar.add st.triples s p o
+  else error st "literal in subject position"
 
 let resolve_iri st text =
   match Rdf.Iri.of_string text with
@@ -274,13 +275,17 @@ let parse_stream ?base stream =
         cur = Lexer.next stream;
         namespaces = Rdf.Namespace.empty;
         base;
-        graph = Rdf.Graph.empty;
+        triples = Rdf.Columnar.builder ();
         bnode_counter = 0 }
     in
     parse_document st;
     st
   with
-  | st -> Ok { graph = st.graph; namespaces = st.namespaces; base = st.base }
+  | st ->
+      Ok
+        { graph = Rdf.Graph.freeze st.triples;
+          namespaces = st.namespaces;
+          base = st.base }
   | exception Lexer.Error (msg, line, col) ->
       Error (Printf.sprintf "lexical error at %d:%d: %s" line col msg)
   | exception Parse_error (msg, line, col) ->

@@ -347,11 +347,8 @@ let test_dead_rules () =
 
 let engines = [ Validate.Derivatives; Backtracking; Auto; Compiled ]
 
-let verdicts ?(interned = false) ~engine schema (case : Workload.Rand_gen.case)
-    =
-  let sess =
-    Validate.session ~engine ~interned schema case.Workload.Rand_gen.graph
-  in
+let verdicts ~engine schema (case : Workload.Rand_gen.case) =
+  let sess = Validate.session ~engine schema case.Workload.Rand_gen.graph in
   List.map
     (fun (n, l) -> Validate.check_bool sess n l)
     case.Workload.Rand_gen.associations
@@ -391,9 +388,7 @@ let prop_optimize_preserves_verdicts =
          List.for_all
            (fun engine ->
              verdicts ~engine schema case = verdicts ~engine schema' case)
-           engines
-         && verdicts ~interned:true ~engine:Validate.Derivatives schema case
-            = verdicts ~interned:true ~engine:Validate.Derivatives schema' case))
+           engines))
 
 let prop_optimize_idempotent =
   QCheck_alcotest.to_alcotest

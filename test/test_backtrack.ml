@@ -76,7 +76,7 @@ let test_negation () =
 
 let test_matches_list () =
   let dts = List.map Neigh.out (Rdf.Graph.to_list example8_graph) in
-  check_bool "list API" true (Backtrack.matches_list dts example5)
+  check_bool "list API" true (Backtrack.matches_list (node "n") dts example5)
 
 let suites =
   [ ( "backtrack",

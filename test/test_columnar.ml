@@ -1,7 +1,7 @@
-(* The raw-speed storage layer: term interner, columnar triple store,
-   and the streaming N-Triples bulk loader — plus the property that the
-   whole interned stack validates byte-identically to the structural
-   representation. *)
+(* The storage layer: term interner, columnar run, the graph's edit
+   delta over it, and the streaming N-Triples bulk loader — plus the
+   property that validation cannot tell how the store holds a graph's
+   triples. *)
 
 open Util
 
@@ -77,60 +77,82 @@ let test_interner_bad_id () =
 (* Columnar store                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A graph with fan-out, fan-in, shared terms, a self-referencing
+(* Triples with fan-out, fan-in, shared terms, a self-referencing
    object, literals and bnodes — enough shape to exercise all three
    index directions. *)
-let sample_graph =
-  graph_of
-    [ t3 "n" "a" (num 1);
-      t3 "n" "b" (num 1);
-      t3 "n" "b" (num 2);
-      t3 "m" "a" (node "n");
-      t3 "m" "c" (Rdf.Term.str "hello");
-      Rdf.Triple.make
-        (Rdf.Term.Bnode (Rdf.Bnode.of_string "b0"))
-        (ex "a") (node "m");
-      t3 "o" "c" (node "n") ]
+let sample_triples =
+  [ t3 "n" "a" (num 1);
+    t3 "n" "b" (num 1);
+    t3 "n" "b" (num 2);
+    t3 "m" "a" (node "n");
+    t3 "m" "c" (Rdf.Term.str "hello");
+    Rdf.Triple.make
+      (Rdf.Term.Bnode (Rdf.Bnode.of_string "b0"))
+      (ex "a") (node "m");
+    t3 "o" "c" (node "n") ]
 
-let test_columnar_roundtrip () =
-  let c = Rdf.Columnar.of_graph sample_graph in
-  Alcotest.check graph "to_graph ∘ of_graph = id" sample_graph
-    (Rdf.Columnar.to_graph c);
-  check_int "cardinal" (Rdf.Graph.cardinal sample_graph)
-    (Rdf.Columnar.cardinal c);
-  check_bool "canonical interner is sorted" true
-    (Rdf.Interner.sorted (Rdf.Columnar.interner c))
+(* Graphs of up to 32 triples live in the delta alone; the filler
+   pushes the sample past that, so [sample_graph] is one frozen run. *)
+let filler = List.init 40 (fun k -> t3 (Printf.sprintf "f%d" k) "a" (num k))
+let sample_graph = graph_of (sample_triples @ filler)
+
+(* The reference model: a sorted, duplicate-free triple list. *)
+let reference trs = Rdf.Triple.Set.(elements (of_list trs))
+
+let store_of trs =
+  let b = Rdf.Columnar.builder () in
+  List.iter (Rdf.Columnar.add_triple b) trs;
+  Rdf.Columnar.freeze b
+
+let check_ok what = function
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" what msg
 
 let triples = Alcotest.(list (testable Rdf.Triple.pp Rdf.Triple.equal))
 
+let test_columnar_roundtrip () =
+  let c = store_of (sample_triples @ sample_triples) in
+  Alcotest.check triples "to_seq lists the set in triple order"
+    (reference sample_triples)
+    (List.of_seq (Rdf.Columnar.to_seq c));
+  check_int "cardinal" (List.length sample_triples) (Rdf.Columnar.cardinal c);
+  check_ok "Columnar.check" (Rdf.Columnar.check c);
+  List.iter
+    (fun tr -> check_bool "mem" true (Rdf.Columnar.mem c tr))
+    sample_triples;
+  check_bool "absent triple" false (Rdf.Columnar.mem c (t3 "n" "a" (num 2)));
+  check_ok "empty store" (Rdf.Columnar.check Rdf.Columnar.empty);
+  check_bool "sample graph is frozen" true
+    (Rdf.Columnar.cardinal (Rdf.Graph.base sample_graph)
+    = Rdf.Graph.cardinal sample_graph)
+
+(* The column slices against a graph small enough to live in its delta,
+   whose slices are ranges of two balanced triple sets. *)
 let test_columnar_slices_agree () =
-  let c = Rdf.Columnar.of_graph sample_graph in
+  let c = store_of sample_triples in
+  let structural = graph_of sample_triples in
+  check_int "the comparison graph is delta-only" 0
+    (Rdf.Columnar.cardinal (Rdf.Graph.base structural));
+  let trs = reference sample_triples in
   List.iter
     (fun n ->
-      Alcotest.check triples "out slice ≡ structural neighbourhood"
-        (Rdf.Graph.to_list (Rdf.Graph.neighbourhood n sample_graph))
-        (Rdf.Columnar.out_triples c n);
-      Alcotest.check triples "in slice ≡ structural incoming"
-        (Rdf.Graph.to_list (Rdf.Graph.triples_with_object n sample_graph))
-        (Rdf.Columnar.in_triples c n);
-      check_int "out_degree"
-        (Rdf.Graph.cardinal (Rdf.Graph.neighbourhood n sample_graph))
-        (Rdf.Columnar.out_degree c n);
-      check_int "in_degree"
-        (Rdf.Graph.cardinal
-           (Rdf.Graph.triples_with_object n sample_graph))
-        (Rdf.Columnar.in_degree c n))
-    (Rdf.Graph.nodes sample_graph);
+      let out = Rdf.Graph.out_triples n structural
+      and inc = Rdf.Graph.in_triples n structural in
+      Alcotest.check triples "out slice" out (Rdf.Columnar.out_triples c n);
+      Alcotest.check triples "in slice" inc (Rdf.Columnar.in_triples c n);
+      check_int "out_degree" (List.length out) (Rdf.Columnar.out_degree c n);
+      check_int "in_degree" (List.length inc) (Rdf.Columnar.in_degree c n))
+    (node "absent" :: Rdf.Graph.nodes structural);
   List.iter
     (fun p ->
       Alcotest.check triples "predicate slice"
         (List.filter
            (fun tr -> Rdf.Iri.equal (Rdf.Triple.predicate tr) p)
-           (Rdf.Graph.to_list sample_graph))
+           trs)
         (Rdf.Columnar.triples_with_predicate c p))
-    (Rdf.Graph.predicates sample_graph);
-  Alcotest.check (Alcotest.list term_t) "nodes agree"
-    (Rdf.Graph.nodes sample_graph)
+    [ ex "a"; ex "b"; ex "c"; ex "zzz" ];
+  Alcotest.check (Alcotest.list term_t) "nodes"
+    (Rdf.Graph.nodes (graph_of sample_triples))
     (Rdf.Columnar.nodes c)
 
 let test_columnar_dedup () =
@@ -149,55 +171,105 @@ let test_columnar_literal_subject () =
   | () -> Alcotest.fail "literal subject accepted"
   | exception Invalid_argument _ -> ()
 
-let test_neigh_of_columnar () =
-  let c = Rdf.Columnar.of_graph sample_graph in
+(* A frozen run, the same run under a delta of inserts and
+   tombstones, and a delta-only graph: Σgn must be the reference
+   slice, in triple order, whichever mix holds the triples. *)
+let removed = [ t3 "n" "b" (num 1); t3 "o" "c" (node "n") ]
+let added = [ t3 "n" "a" (num 0); t3 "p" "a" (node "n"); t3 "n" "c" (node "n") ]
+
+let edited_graph () =
+  List.fold_left
+    (fun g tr -> Rdf.Graph.add tr g)
+    (List.fold_left (fun g tr -> Rdf.Graph.remove tr g) sample_graph removed)
+    added
+
+let test_neigh_of_node () =
+  let expect trs n =
+    let trs = reference trs in
+    List.map Shex.Neigh.out
+      (List.filter (fun tr -> Rdf.Term.equal (Rdf.Triple.subject tr) n) trs)
+    @ List.map Shex.Neigh.inc
+        (List.filter (fun tr -> Rdf.Term.equal (Rdf.Triple.obj tr) n) trs)
+  in
+  let edited_triples =
+    added
+    @ List.filter
+        (fun tr -> not (List.exists (Rdf.Triple.equal tr) removed))
+        (sample_triples @ filler)
+  in
   List.iter
-    (fun n ->
+    (fun (what, g, trs) ->
+      check_ok what (Rdf.Columnar.check (Rdf.Graph.base g));
+      Alcotest.check triples (what ^ ": to_list") (reference trs)
+        (Rdf.Graph.to_list g);
       List.iter
-        (fun include_inverse ->
-          check_bool "of_columnar ≡ of_node" true
-            (List.equal Shex.Neigh.equal
-               (Shex.Neigh.of_node ~include_inverse n sample_graph)
-               (Shex.Neigh.of_columnar ~include_inverse n c)))
-        [ false; true ])
-    (Rdf.Graph.nodes sample_graph)
+        (fun n ->
+          check_bool (what ^ ": of_node ≡ reference") true
+            (List.equal Shex.Neigh.equal (expect trs n)
+               (Shex.Neigh.of_node ~include_inverse:true n g)))
+        (node "absent" :: Rdf.Graph.nodes g))
+    [ ("frozen", sample_graph, sample_triples @ filler);
+      ("edited", edited_graph (), edited_triples);
+      ("delta only", graph_of sample_triples, sample_triples) ]
 
 (* ------------------------------------------------------------------ *)
-(* Interned validation ≡ structural validation                         *)
+(* Validation is independent of how the store holds the triples       *)
 (* ------------------------------------------------------------------ *)
 
 let person_schema =
   match
     Shexc.Shexc_parser.parse_schema
       "PREFIX ex: <http://example.org/>\n\
-       <S> { ex:a [1], ex:b [1 2]* }"
+       <S> { ex:a [0 1], ex:b [1 2]* }"
   with
   | Ok s -> s
   | Error msg -> failwith msg
 
-let test_interned_session_agrees () =
-  let structural = Shex.Validate.session person_schema sample_graph in
-  let interned =
-    Shex.Validate.session ~interned:true person_schema sample_graph
+let report_json schema g =
+  let session = Shex.Validate.session schema g in
+  let assocs =
+    List.concat_map
+      (fun n -> List.map (fun l -> (n, l)) (Shex.Schema.labels schema))
+      (Rdf.Graph.nodes g)
   in
-  check_bool "structural session not interned" false
-    (Shex.Validate.interned structural);
-  check_bool "interned session interned" true
-    (Shex.Validate.interned interned);
-  Alcotest.check typing "validate_graph agrees"
-    (Shex.Validate.validate_graph structural)
-    (Shex.Validate.validate_graph interned)
+  Json.to_string (Shex.Report.to_json (Shex.Report.run session assocs))
 
-let test_session_columnar () =
-  let c = Rdf.Columnar.of_graph sample_graph in
-  let st = Shex.Validate.session_columnar person_schema c in
-  Alcotest.check typing "columnar-primary session agrees"
-    (Shex.Validate.validate_graph
-       (Shex.Validate.session person_schema sample_graph))
-    (Shex.Validate.validate_graph st);
-  (* The structural view materialises on demand and matches. *)
-  Alcotest.check graph "lazy structural view" sample_graph
-    (Shex.Validate.graph st)
+let test_edited_session_agrees () =
+  let edited = edited_graph () in
+  let fresh = graph_of (Rdf.Graph.to_list edited) in
+  check_bool "the edited graph carries a delta" true
+    (Rdf.Columnar.cardinal (Rdf.Graph.base edited)
+    <> Rdf.Graph.cardinal edited);
+  Alcotest.check graph "same triples" fresh edited;
+  Alcotest.check typing "validate_graph agrees"
+    (Shex.Validate.validate_graph (Shex.Validate.session person_schema fresh))
+    (Shex.Validate.validate_graph (Shex.Validate.session person_schema edited));
+  check_string "report JSON agrees" (report_json person_schema fresh)
+    (report_json person_schema edited)
+
+(* Tombstoning every triple of a node of the run, as subject and as
+   object, removes it from [nodes]; re-adding one brings it back. *)
+let test_tombstoned_node_leaves_nodes () =
+  let m = node "m" in
+  let touching tr =
+    Rdf.Term.equal (Rdf.Triple.subject tr) m
+    || Rdf.Term.equal (Rdf.Triple.obj tr) m
+  in
+  let gone = List.filter touching sample_triples in
+  let g = List.fold_left (fun g tr -> Rdf.Graph.remove tr g) sample_graph gone in
+  check_ok "tombstoned" (Rdf.Columnar.check (Rdf.Graph.base g));
+  check_bool "m is still in the run" true
+    (List.exists (Rdf.Term.equal m)
+       (Rdf.Columnar.nodes (Rdf.Graph.base g)));
+  check_bool "m left nodes" false (List.exists (Rdf.Term.equal m) (Rdf.Graph.nodes g));
+  Alcotest.check (Alcotest.list term_t) "nodes ≡ reference"
+    (Rdf.Graph.nodes (graph_of (Rdf.Graph.to_list g)))
+    (Rdf.Graph.nodes g);
+  check_int "cardinal" (Rdf.Graph.cardinal sample_graph - List.length gone)
+    (Rdf.Graph.cardinal g);
+  let back = Rdf.Graph.add (List.hd gone) g in
+  check_bool "re-added m is back" true
+    (List.exists (Rdf.Term.equal m) (Rdf.Graph.nodes back))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming N-Triples loading                                         *)
@@ -244,16 +316,49 @@ let test_load_file_columnar () =
     (fun path ->
       match Turtle.Ntriples.load_file path with
       | Error msg -> failwith msg
-      | Ok c ->
-          check_int "all triples loaded" 50 (Rdf.Columnar.cardinal c);
+      | Ok g ->
+          let c = Rdf.Graph.base g in
+          check_int "all triples loaded, frozen" 50 (Rdf.Columnar.cardinal c);
           check_int "terms deduplicated" 16 (Rdf.Columnar.terms_cardinal c);
+          check_ok "Columnar.check" (Rdf.Columnar.check c);
           let parsed =
             match Turtle.Parse.parse_file path with
             | Ok d -> d.Turtle.Parse.graph
             | Error msg -> failwith msg
           in
-          Alcotest.check graph "≡ turtle parse" parsed
-            (Rdf.Columnar.to_graph c))
+          Alcotest.check graph "≡ turtle parse" parsed g)
+
+(* Both loaders freeze into the one store, so a session cannot tell
+   which of them read the file. *)
+let test_loaded_sessions_agree () =
+  with_temp_nt
+    ~lines:(fun oc ->
+      for s = 0 to 19 do
+        Printf.fprintf oc
+          "<http://example.org/s%d> <http://example.org/a> \"%d\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
+          s (s mod 3);
+        Printf.fprintf oc
+          "<http://example.org/s%d> <http://example.org/b> \"2\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n"
+          s
+      done)
+    (fun path ->
+      let loaded =
+        match Turtle.Ntriples.load_file path with
+        | Ok g -> g
+        | Error msg -> failwith msg
+      in
+      let parsed =
+        match Turtle.Parse.parse_file path with
+        | Ok d -> d.Turtle.Parse.graph
+        | Error msg -> failwith msg
+      in
+      check_string "report JSON agrees" (report_json person_schema parsed)
+        (report_json person_schema loaded);
+      check_bool "some nodes conform" true
+        (not
+           (Shex.Typing.is_empty
+              (Shex.Validate.validate_graph
+                 (Shex.Validate.session person_schema loaded)))))
 
 let test_fold_file_bad_input () =
   with_temp_nt
@@ -333,7 +438,8 @@ let test_columnar_past_packed_bound () =
   let nodes = Rdf.Columnar.nodes store in
   check_int "one node per subject and object" (2 * triples)
     (List.length nodes);
-  check_bool "nodes ascending, no duplicates" true (strictly_ascending nodes)
+  check_bool "nodes ascending, no duplicates" true (strictly_ascending nodes);
+  check_ok "Columnar.check" (Rdf.Columnar.check store)
 
 let interner_tests =
   [ Alcotest.test_case "resolve ∘ intern = id, dense ids" `Quick
@@ -346,19 +452,21 @@ let interner_tests =
     Alcotest.test_case "bad id rejected" `Quick test_interner_bad_id ]
 
 let columnar_tests =
-  [ Alcotest.test_case "of_graph/to_graph roundtrip" `Quick
+  [ Alcotest.test_case "freeze/to_seq roundtrip" `Quick
       test_columnar_roundtrip;
     Alcotest.test_case "slices ≡ structural indexes" `Quick
       test_columnar_slices_agree;
     Alcotest.test_case "duplicate adds collapse" `Quick test_columnar_dedup;
     Alcotest.test_case "literal subjects rejected" `Quick
       test_columnar_literal_subject;
-    Alcotest.test_case "Neigh.of_columnar ≡ Neigh.of_node" `Quick
-      test_neigh_of_columnar;
-    Alcotest.test_case "interned session ≡ structural" `Quick
-      test_interned_session_agrees;
-    Alcotest.test_case "columnar-primary session" `Quick
-      test_session_columnar;
+    Alcotest.test_case "Neigh.of_node ≡ reference slices" `Quick
+      test_neigh_of_node;
+    Alcotest.test_case "edited session ≡ frozen session" `Quick
+      test_edited_session_agrees;
+    Alcotest.test_case "load_file session ≡ parse_file session" `Quick
+      test_loaded_sessions_agree;
+    Alcotest.test_case "tombstoned node leaves nodes" `Quick
+      test_tombstoned_node_leaves_nodes;
     Alcotest.test_case "stores past 2^20 terms stay sorted" `Quick
       test_columnar_past_packed_bound ]
 

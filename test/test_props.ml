@@ -97,7 +97,7 @@ let prop_order_independence =
     (fun (e, g, seed) ->
       QCheck.assume (small_enough g);
       let dts =
-        List.map Neigh.out (Rdf.Graph.to_list (Rdf.Graph.neighbourhood (node "n") g))
+        List.map Neigh.out (Rdf.Graph.out_triples (node "n") g)
       in
       let shuffled =
         let st = Random.State.make [| seed |] in
@@ -494,19 +494,21 @@ let arb_graph_pair =
         (oneof
            [ gen_wide_graph (int_bound 4); gen_wide_graph (int_bound 60) ]))
 
-(* The secondary indexes agree with the triple set — the invariant the
-   bulk constructors must re-establish without per-triple [add]s. *)
+(* The slices agree with the triple listing and the store's invariants
+   hold — what the bulk constructors must establish without per-triple
+   [add]s. *)
 let well_indexed g =
   let trs = Rdf.Graph.to_list g in
-  List.for_all
+  Rdf.Columnar.check (Rdf.Graph.base g) = Ok ()
+  && List.for_all
     (fun n ->
       List.equal Rdf.Triple.equal
-        (Rdf.Graph.to_list (Rdf.Graph.neighbourhood n g))
+        (Rdf.Graph.out_triples n g)
         (List.filter
            (fun tr -> Rdf.Term.equal (Rdf.Triple.subject tr) n)
            trs)
       && List.equal Rdf.Triple.equal
-           (Rdf.Graph.to_list (Rdf.Graph.triples_with_object n g))
+           (Rdf.Graph.in_triples n g)
            (List.filter
               (fun tr -> Rdf.Term.equal (Rdf.Triple.obj tr) n)
               trs))
@@ -576,21 +578,122 @@ let prop_bulk_filter_fold =
            g1 Rdf.Graph.empty)
       && well_indexed f)
 
-let prop_columnar_roundtrip =
-  QCheck.Test.make ~count:150 ~name:"columnar of_graph/to_graph roundtrip"
-    arb_graph_pair (fun (g1, g2) ->
-      (* Union first so the round-tripped graph exercises the bulk
-         constructors' output, not just generator output. *)
-      let g = Rdf.Graph.union g1 g2 in
-      let c = Rdf.Columnar.of_graph g in
-      let g' = Rdf.Columnar.to_graph c in
-      Rdf.Graph.equal g g' && well_indexed g'
-      && List.for_all
-           (fun n ->
-             List.equal Shex.Neigh.equal
-               (Neigh.of_node ~include_inverse:true n g)
-               (Neigh.of_columnar ~include_inverse:true n c))
-           (Rdf.Graph.nodes g))
+(* ------------------------------------------------------------------ *)
+(* The store against a reference model                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A random add/remove script over a universe of ~7,000 triples,
+   started from a bulk-built graph, drives the store through its
+   compactions.  After every step the graph must agree with a plain
+   [Triple.Set] on every read, in the set's order, and after every
+   compaction the new run must pass [Columnar.check]. *)
+type edit = Add of Rdf.Triple.t | Remove of Rdf.Triple.t
+
+let gen_store_triple =
+  QCheck.Gen.(
+    let subj = int_bound 39 >|= fun k -> node (Printf.sprintf "s%d" k) in
+    let obj = oneof [ subj; (int_bound 5 >|= num) ] in
+    subj >>= fun s ->
+    oneofl [ "a"; "b"; "c"; "d" ] >>= fun p ->
+    obj >|= fun o -> Rdf.Triple.make s (ex p) o)
+
+let arb_store_script =
+  QCheck.make
+    ~print:(fun (start, script) ->
+      Printf.sprintf "%d initial triples, %d edits" (List.length start)
+        (List.length script))
+    QCheck.Gen.(
+      pair
+        (list_size (int_bound 200) gen_store_triple)
+        (list_size (int_range 250 400)
+           (frequency
+              [ (3, gen_store_triple >|= fun tr -> Add tr);
+                (2, gen_store_triple >|= fun tr -> Remove tr) ])))
+
+let store_schema =
+  match
+    Shexc.Shexc_parser.parse_schema
+      "PREFIX ex: <http://example.org/>\n\
+       <S> { ex:a @<S>*, ex:b [0 1 2]*, ex:c . * }"
+  with
+  | Ok s -> s
+  | Error msg -> failwith msg
+
+let agrees_with_reference g ref_set =
+  let trs = Rdf.Triple.Set.elements ref_set in
+  let nodes =
+    Rdf.Triple.Set.fold
+      (fun tr acc ->
+        Rdf.Term.Set.add (Rdf.Triple.subject tr)
+          (Rdf.Term.Set.add (Rdf.Triple.obj tr) acc))
+      ref_set Rdf.Term.Set.empty
+  in
+  let with_ key n = List.filter (fun tr -> Rdf.Term.equal (key tr) n) trs in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  (match Rdf.Columnar.check (Rdf.Graph.base g) with
+  | Ok () -> ()
+  | Error msg -> fail "Columnar.check: %s" msg);
+  if Rdf.Graph.cardinal g <> List.length trs then fail "cardinal";
+  if not (List.equal Rdf.Triple.equal (Rdf.Graph.to_list g) trs) then
+    fail "to_list order";
+  if not (List.equal Rdf.Term.equal (Rdf.Graph.nodes g)
+            (Rdf.Term.Set.elements nodes))
+  then fail "nodes";
+  if not (Rdf.Graph.equal g (Rdf.Graph.of_list trs)) then fail "equal";
+  Rdf.Term.Set.iter
+    (fun n ->
+      if
+        not
+          (List.equal Shex.Neigh.equal
+             (Neigh.of_node ~include_inverse:true n g)
+             (List.map Neigh.out (with_ Rdf.Triple.subject n)
+             @ List.map Neigh.inc (with_ Rdf.Triple.obj n)))
+      then fail "out_triples/in_triples of %a" Rdf.Term.pp n)
+    nodes;
+  true
+
+let prop_store_reference_model =
+  QCheck.Test.make ~count:40 ~name:"store edits ≡ Triple.Set reference model"
+    arb_store_script (fun (start, script) ->
+      let g0 = Rdf.Graph.of_list start in
+      let r0 = Rdf.Triple.Set.of_list start in
+      let compactions = ref 0 and step = ref 0 in
+      let g, r =
+        List.fold_left
+          (fun (g, r) edit ->
+            incr step;
+            let g', r', tr =
+              match edit with
+              | Add tr -> (Rdf.Graph.add tr g, Rdf.Triple.Set.add tr r, tr)
+              | Remove tr ->
+                  (Rdf.Graph.remove tr g, Rdf.Triple.Set.remove tr r, tr)
+            in
+            if Rdf.Graph.base g' != Rdf.Graph.base g then incr compactions;
+            if Rdf.Graph.mem tr g' <> Rdf.Triple.Set.mem tr r' then
+              QCheck.Test.fail_reportf "mem after an edit";
+            (* The full comparison is linear: run it on every
+               compaction and every 25th edit. *)
+            if Rdf.Graph.base g' != Rdf.Graph.base g || !step mod 25 = 0 then
+              ignore (agrees_with_reference g' r');
+            (g', r'))
+          (g0, r0) script
+      in
+      if !compactions = 0 then
+        QCheck.Test.fail_reportf "the script never compacted";
+      (* Verdicts and the report cannot tell the edited store from a
+         freshly frozen one. *)
+      let report g =
+        let session = Validate.session store_schema g in
+        let assocs =
+          List.map
+            (fun n -> (n, Label.of_string "S"))
+            (Rdf.Graph.nodes g)
+        in
+        Json.to_string (Shex.Report.to_json (Shex.Report.run session assocs))
+      in
+      agrees_with_reference g r
+      && String.equal (report g)
+           (report (Rdf.Graph.of_list (Rdf.Triple.Set.elements r))))
 
 let tests =
   List.map QCheck_alcotest.to_alcotest
@@ -627,6 +730,6 @@ let tests =
       prop_bulk_diff_fold;
       prop_bulk_inter_fold;
       prop_bulk_filter_fold;
-      prop_columnar_roundtrip ]
+      prop_store_reference_model ]
 
 let suites = [ ("properties", tests) ]

@@ -356,12 +356,12 @@ let test_graph_neighbourhood () =
       [ t3 "n" "a" (num 1); t3 "n" "b" (num 2); t3 "m" "a" (num 1);
         t3 "m" "c" (node "n") ]
   in
-  let sigma_n = Rdf.Graph.neighbourhood (node "n") g in
-  check_int "sigma n" 2 (Rdf.Graph.cardinal sigma_n);
-  let sigma_q = Rdf.Graph.neighbourhood (node "q") g in
-  check_bool "absent node empty" true (Rdf.Graph.is_empty sigma_q);
-  let incoming = Rdf.Graph.triples_with_object (node "n") g in
-  check_int "incoming" 1 (Rdf.Graph.cardinal incoming)
+  let sigma_n = Rdf.Graph.out_triples (node "n") g in
+  check_int "sigma n" 2 (List.length sigma_n);
+  let sigma_q = Rdf.Graph.out_triples (node "q") g in
+  check_bool "absent node empty" true (sigma_q = []);
+  let incoming = Rdf.Graph.in_triples (node "n") g in
+  check_int "incoming" 1 (List.length incoming)
 
 let test_graph_objects_of () =
   let g = example8_graph in
